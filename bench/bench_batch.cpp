@@ -105,11 +105,13 @@ void run_sequential(benchmark::State& state, const Log& log,
 }
 
 void run_batch(benchmark::State& state, const Log& log,
-               const std::vector<std::string>& queries, std::size_t threads,
+               const std::vector<std::string>& queries, std::size_t shards,
                bool use_cache) {
-  const QueryEngine engine(log, bench_options());
+  QueryOptions options = bench_options();
+  options.shards = shards;
+  const QueryEngine engine(log, options);
   for (auto _ : state) {
-    const BatchResult r = engine.run_batch(queries, threads, use_cache);
+    const BatchResult r = engine.run_batch(queries, 1, use_cache);
     benchmark::DoNotOptimize(r);
   }
   report(state, engine, queries, use_cache);
@@ -133,7 +135,7 @@ void BM_ProcurementBatch8NoCache(benchmark::State& state) {
             procurement_queries(), 1, false);
 }
 
-void BM_ProcurementBatch8Threads4(benchmark::State& state) {
+void BM_ProcurementBatch8Shards4(benchmark::State& state) {
   run_batch(state,
             procurement_sized(static_cast<std::size_t>(state.range(0))),
             procurement_queries(), 4, true);
@@ -207,7 +209,7 @@ void instance_sweep(benchmark::internal::Benchmark* b) {
 BENCHMARK(BM_ProcurementSequential8)->Apply(instance_sweep);
 BENCHMARK(BM_ProcurementBatch8)->Apply(instance_sweep);
 BENCHMARK(BM_ProcurementBatch8NoCache)->Apply(instance_sweep);
-BENCHMARK(BM_ProcurementBatch8Threads4)->Apply(instance_sweep);
+BENCHMARK(BM_ProcurementBatch8Shards4)->Apply(instance_sweep);
 BENCHMARK(BM_ClinicSequential6)->Apply(instance_sweep);
 BENCHMARK(BM_ClinicBatch6)->Apply(instance_sweep);
 BENCHMARK(BM_ClinicBatch6NoCache)->Apply(instance_sweep);

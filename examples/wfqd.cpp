@@ -3,7 +3,7 @@
 // and serves concurrent queries over it:
 //
 //   POST /query    {"query": "A -> B", "deadline_ms": 100, "limit": 50}
-//   POST /batch    {"queries": ["A -> B", "C . D"], "threads": 4}
+//   POST /batch    {"queries": ["A -> B", "C . D"], "limit": 50}
 //   POST /ingest   {"events": [{"op": "begin"}, {"op": "record", ...}]}
 //   GET  /metrics  Prometheus text exposition (+ per-endpoint and
 //                  per-canonical-key latency histograms)
@@ -25,7 +25,6 @@
 //   [--threads N]        worker pool size (default 4)
 //   [--queue N]          pending-connection bound before 503 (default 64)
 //   [--drain-ms N]       shutdown grace period for in-flight requests
-//   [--batch-threads N]  run_batch default when a request names none
 //   [--bad-events reject|skip|quarantine]   ingest policy (monitor.h)
 //   [--max-deadline-ms N]    cap on per-request deadlines (binds even
 //                            requests that ask for "unlimited")
@@ -113,8 +112,7 @@ using namespace wflog;
       << "usage: wfqd --log <file.{csv,jsonl,xes}> | --store <dir>\n"
          "  [--bind ADDR] [--port N (0=ephemeral)] [--threads N] "
          "[--queue N]\n"
-         "  [--drain-ms N] [--batch-threads N] "
-         "[--bad-events reject|skip|quarantine]\n"
+         "  [--drain-ms N] [--bad-events reject|skip|quarantine]\n"
          "  [--max-deadline-ms N] [--max-incidents-cap N]\n"
          "shared flags: --trace <out.json>  --metrics  --metrics-json "
          "<file>\n"
@@ -189,8 +187,6 @@ int main(int argc, char** argv) {
       sopts.queue_capacity = static_cast<std::size_t>(std::atoll(args[++i]));
     } else if (flag == "--drain-ms" && has_value) {
       sopts.drain_timeout_ms = std::atoi(args[++i]);
-    } else if (flag == "--batch-threads" && has_value) {
-      svc.batch_threads = static_cast<std::size_t>(std::atoll(args[++i]));
     } else if (flag == "--max-deadline-ms" && has_value) {
       svc.max_deadline_ms = std::atoll(args[++i]);
     } else if (flag == "--max-incidents-cap" && has_value) {

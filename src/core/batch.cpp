@@ -5,7 +5,6 @@
 #include <string>
 #include <unordered_map>
 
-#include "core/parallel_eval.h"
 #include "core/shard.h"
 #include "obs/telemetry.h"
 
@@ -45,32 +44,26 @@ std::vector<IncidentSet> evaluate_batch(std::span<const PatternPtr> patterns,
                                         BatchEvalStats* stats) {
   const std::size_t num_queries = patterns.size();
   const std::vector<Wid>& wids = index.wids();
-  const std::size_t threads =
-      resolve_worker_count(options.threads, wids.size());
-  const ShardPlan* splan =
-      options.shard_plan != nullptr && options.shard_plan->num_shards() > 1
-          ? options.shard_plan
-          : nullptr;
+  // No plan = one shard over every instance, with identity positions.
+  const ShardPlan* splan = options.shard_plan;
+  const std::size_t num_shards = splan != nullptr ? splan->num_shards() : 1;
 
   const BatchPlan plan(patterns);
 
-  // per_wid[i][q] = incidents of query q in instance wids[i]. Workers
-  // write disjoint i's, so no synchronization is needed beyond the join.
+  // per_wid[i][q] = incidents of query q in instance wids[i]. Shards own
+  // disjoint i's, so no synchronization is needed beyond the join. A row
+  // stays empty when a tripped guard skipped its instance.
   std::vector<std::vector<IncidentList>> per_wid(wids.size());
-  // One slot per outer work unit (shard or instance).
-  std::vector<EvalCounters> unit_counters(
-      splan != nullptr ? splan->num_shards() : wids.size());
+  std::vector<EvalCounters> shard_counters(num_shards);
 
-  // Per-query failure isolation, shared across workers: once a query
-  // throws anywhere, every worker skips it (its partial lists are
+  // Per-query failure isolation, shared across shards: once a query
+  // throws anywhere, every shard skips it (its partial lists are
   // discarded at assembly); the first error message wins.
   std::vector<std::atomic<bool>> failed(num_queries);
   std::vector<std::string> errors(num_queries);
   std::mutex errors_mu;
 
-  // The whole batch for ONE instance, with whatever evaluator/memo the
-  // outer scheduler hands in. Identical between the instance-unit and
-  // shard-unit paths, so results cannot depend on the scheduler.
+  // The whole batch for ONE instance (global position i).
   const auto eval_instance = [&](const Evaluator& ev, SubpatternMemo* memo,
                                  std::size_t i) {
     std::vector<IncidentList>& lists = per_wid[i];
@@ -93,44 +86,41 @@ std::vector<IncidentSet> evaluate_batch(std::span<const PatternPtr> patterns,
     }
   };
 
-  if (splan != nullptr) {
+  // One evaluator and one memo per shard, the memo reset per instance.
+  const auto shard_task = [&](std::size_t s) {
+    WFLOG_SPAN(span, "shard.task");
+    const ShardPlan::Shard* shard =
+        splan != nullptr ? &splan->shard(s) : nullptr;
+    const std::size_t count =
+        shard != nullptr ? shard->wids.size() : wids.size();
+    const Evaluator ev(index, options.eval);
+    SubpatternMemo memo = plan.make_memo();
+    SubpatternMemo* memo_ptr = options.use_cache ? &memo : nullptr;
+    for (std::size_t j = 0; j < count; ++j) {
+      if (options.guard != nullptr && options.guard->stopped()) {
+        WFLOG_TELEMETRY(t) { t->shard_cancelled_total->inc(); }
+        break;
+      }
+      if (memo_ptr != nullptr) memo_ptr->reset();
+      eval_instance(ev, memo_ptr, shard != nullptr ? shard->global[j] : j);
+    }
+    shard_counters[s] = ev.counters();
+    if (span.active()) {
+      span.arg("shard", static_cast<std::uint64_t>(s));
+      span.arg("instances", static_cast<std::uint64_t>(count));
+    }
+  };
+
+  if (num_shards > 1) {
     WFLOG_TELEMETRY(t) {
       t->shard_evals_total->inc();
-      t->shard_tasks_total->add(splan->num_shards());
+      t->shard_tasks_total->add(num_shards);
     }
-    const auto shard_task = [&](std::size_t s) {
-      WFLOG_SPAN(span, "shard.task");
-      const ShardPlan::Shard& shard = splan->shard(s);
-      const Evaluator ev(index, options.eval);
-      SubpatternMemo memo = plan.make_memo();
-      SubpatternMemo* memo_ptr = options.use_cache ? &memo : nullptr;
-      for (std::size_t j = 0; j < shard.wids.size(); ++j) {
-        if (options.guard != nullptr && options.guard->stopped()) {
-          WFLOG_TELEMETRY(t) { t->shard_cancelled_total->inc(); }
-          break;
-        }
-        if (memo_ptr != nullptr) memo_ptr->reset();
-        eval_instance(ev, memo_ptr, shard.global[j]);
-      }
-      unit_counters[s] = ev.counters();
-      if (span.active()) {
-        span.arg("shard", static_cast<std::uint64_t>(s));
-        span.arg("instances", static_cast<std::uint64_t>(shard.wids.size()));
-      }
-    };
-    if (options.shard_pool != nullptr) {
-      options.shard_pool->run(splan->num_shards(), shard_task);
-    } else {
-      for (std::size_t s = 0; s < splan->num_shards(); ++s) shard_task(s);
-    }
+  }
+  if (options.shard_pool != nullptr) {
+    options.shard_pool->run(num_shards, shard_task);
   } else {
-    parallel_for_instances(wids.size(), threads, [&](std::size_t i) {
-      if (options.guard != nullptr && options.guard->stopped()) return;
-      const Evaluator ev(index, options.eval);
-      SubpatternMemo memo = plan.make_memo();
-      eval_instance(ev, options.use_cache ? &memo : nullptr, i);
-      unit_counters[i] = ev.counters();
-    });
+    for (std::size_t s = 0; s < num_shards; ++s) shard_task(s);
   }
 
   // Assemble per query in ascending wid order — the exact shape
@@ -140,7 +130,7 @@ std::vector<IncidentSet> evaluate_batch(std::span<const PatternPtr> patterns,
   for (std::size_t q = 0; q < num_queries; ++q) {
     if (failed[q].load(std::memory_order_relaxed)) continue;
     for (std::size_t i = 0; i < wids.size(); ++i) {
-      if (!per_wid[i][q].empty()) {
+      if (!per_wid[i].empty() && !per_wid[i][q].empty()) {
         results[q].add_group(wids[i], std::move(per_wid[i][q]));
       }
     }
@@ -149,8 +139,7 @@ std::vector<IncidentSet> evaluate_batch(std::span<const PatternPtr> patterns,
   if (stats != nullptr) {
     *stats = BatchEvalStats{};
     stats->plan = plan.stats();
-    stats->threads_used = splan != nullptr ? splan->num_shards() : threads;
-    for (const EvalCounters& c : unit_counters) stats->counters += c;
+    for (const EvalCounters& c : shard_counters) stats->counters += c;
     stats->query_errors = std::move(errors);
   }
   return results;

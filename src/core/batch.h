@@ -13,18 +13,18 @@
 //      index of its canonical key (core/pattern.h). Nodes with equal keys
 //      — within one query or across queries — share a slot.
 //   2. evaluate_batch iterates workflow instances (the outer loop of
-//      Algorithm 2); per instance, one SubpatternMemo (core/evaluator.h)
-//      is threaded through the evaluation of every query, so each slot is
-//      computed at most once per instance. The memo resets between
-//      instances.
-//   3. With threads > 1, instances are partitioned across workers by the
-//      work-stealing scheduler of core/parallel_eval.h; each worker
-//      evaluates the WHOLE batch over its share with its own memo.
+//      Algorithm 2) shard by shard; per instance, one SubpatternMemo
+//      (core/evaluator.h) is threaded through the evaluation of every
+//      query, so each slot is computed at most once per instance. Each
+//      shard owns one Evaluator and one memo, reset between instances.
+//   3. With a multi-shard ShardPlan (core/shard.h), the shards scatter on
+//      the engine's ShardPool; each evaluates the WHOLE batch over its
+//      share of the instances.
 //
 // Results are assembled per query in ascending wid order, making the
 // output bit-identical to N independent Evaluator::evaluate calls
-// (property-tested in tests/batch_test.cpp, serial and parallel, with and
-// without the cache).
+// (property-tested in tests/batch_test.cpp for K = 1 and K = 4 shards,
+// with and without the cache).
 
 #include <span>
 
@@ -36,9 +36,6 @@ class ShardPlan;
 class ShardPool;
 
 struct BatchOptions {
-  /// Workers partitioning the instances; 1 = serial on the caller's
-  /// thread, 0 = std::thread::hardware_concurrency().
-  std::size_t threads = 1;
   /// Share subpattern results through the canonical-key memo. Off, the
   /// batch still runs in one pass but every query recomputes its tree.
   bool use_cache = true;
@@ -46,11 +43,11 @@ struct BatchOptions {
   /// Optional resource guard (core/guard.h) shared by the whole pass: a
   /// trip stops every query, each returning its partial set. Borrowed.
   const EvalGuard* guard = nullptr;
-  /// Sharded scheduling (core/shard.h): when set (and it has > 1 shard),
-  /// the outer work unit becomes a whole wid-shard — one evaluator + one
-  /// memo per shard, scattered on `shard_pool` (serial when null) — and
-  /// `threads` is ignored. Results stay bit-identical: assembly is by
-  /// global instance position either way. Both borrowed.
+  /// The wid-shards the pass iterates (core/shard.h); null = one shard
+  /// over index.wids(). Each shard is one outer work unit with its own
+  /// evaluator and memo, scattered on `shard_pool` (serial on the caller
+  /// when null). Results are bit-identical for every plan: assembly is by
+  /// global instance position. Both borrowed.
   const ShardPlan* shard_plan = nullptr;
   ShardPool* shard_pool = nullptr;
 };
@@ -79,7 +76,7 @@ class BatchPlan {
     return patterns_;
   }
 
-  /// A memo sized for this plan, ready for one worker's instance loop.
+  /// A memo sized for this plan, ready for one shard's instance loop.
   SubpatternMemo make_memo() const {
     return SubpatternMemo(&slots_, num_slots());
   }
@@ -92,9 +89,8 @@ class BatchPlan {
 
 /// Work/traffic tallies of one evaluate_batch call.
 struct BatchEvalStats {
-  EvalCounters counters;  // summed across queries, instances, workers
+  EvalCounters counters;  // summed across queries, instances, shards
   BatchPlanStats plan;
-  std::size_t threads_used = 1;
   /// Per-query failure isolation: query_errors[q] is empty when query q
   /// evaluated cleanly, else the error that stopped it. A failed query
   /// returns an empty set; the others are unaffected.

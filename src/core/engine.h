@@ -155,8 +155,9 @@ class QueryEngine {
   /// each query is parsed/optimized exactly as run() would, then all
   /// executed patterns are evaluated together, sharing every subtree with
   /// an equal canonical key (Theorems 2-4) through a per-instance memo.
-  /// results[q] is bit-identical to run(queries[q]). `threads` partitions
-  /// instances across workers (1 = serial, 0 = hardware concurrency);
+  /// results[q] is bit-identical to run(queries[q]). The pass scatters
+  /// over the engine's shards (QueryOptions::shards) on its ShardPool;
+  /// `threads` is ignored and kept only so existing callers compile.
   /// `use_cache` toggles the subpattern memo.
   ///
   /// Failure isolation: a query that fails to parse, optimize, or

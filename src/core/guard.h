@@ -12,7 +12,7 @@
 // far, a PARTIAL result flagged with the StopReason.
 //
 // One guard serves one query (or one whole batch, where a trip stops every
-// query); it is safe to share across the parallel scheduler's workers.
+// query); it is safe to share across the ShardPool's workers.
 
 #include <atomic>
 #include <chrono>

@@ -1,5 +1,6 @@
 #include "core/shard.h"
 
+#include <algorithm>
 #include <atomic>
 #include <utility>
 
@@ -52,10 +53,12 @@ void ShardPool::shutdown() {
 void ShardPool::drain_job(Job& job, std::unique_lock<std::mutex>& lock) {
   while (job.next < job.count) {
     const std::size_t i = job.next++;
-    if (job.next >= job.count && !jobs_.empty() && jobs_.front() == &job) {
-      // Exhausted: stop routing new claimants here. (The job outlives
-      // this — its owner waits for `done` to catch up.)
-      jobs_.pop_front();
+    if (job.next == job.count) {
+      // Exhausted: unqueue it wherever it sits, so no worker ever picks
+      // an item-less job off the front. (The job outlives this — its
+      // owner waits for `done` to catch up.)
+      const auto it = std::find(jobs_.begin(), jobs_.end(), &job);
+      if (it != jobs_.end()) jobs_.erase(it);
     }
     lock.unlock();
     std::exception_ptr error;
@@ -94,14 +97,6 @@ void ShardPool::run(std::size_t count,
   // this IS the serial loop, and with busy workers it guarantees progress.
   drain_job(job, lock);
   job.finished.wait(lock, [&job] { return job.done == job.count; });
-  // Defensive: if the job is somehow still queued (a worker popped jobs
-  // only when claiming the last item), remove it before it dangles.
-  for (auto it = jobs_.begin(); it != jobs_.end(); ++it) {
-    if (*it == &job) {
-      jobs_.erase(it);
-      break;
-    }
-  }
   if (job.error != nullptr) std::rethrow_exception(job.error);
 }
 

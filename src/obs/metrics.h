@@ -3,10 +3,10 @@
 // MetricsRegistry — named counters, gauges, and fixed-bucket histograms
 // for engine-wide telemetry.
 //
-// The hot path is record-side: the parallel evaluator, batch workers, the
-// monitor, and the log store all bump metrics from whatever thread they
-// happen to run on. To keep that contention-free, counter and histogram
-// cells live in LOCK-FREE THREAD-LOCAL SHARDS: each thread lazily acquires
+// The hot path is record-side: the shard workers, the monitor, and the
+// log store all bump metrics from whatever thread they happen to run on.
+// To keep that contention-free, counter and histogram cells live in
+// LOCK-FREE THREAD-LOCAL SHARDS: each thread lazily acquires
 // its own cell block (one registry mutex hit per thread, ever) and then
 // updates plain relaxed atomics it alone writes. scrape()/snapshot() merges
 // the shards. Values are monotone, so a concurrent scrape sees a consistent

@@ -1,6 +1,6 @@
 // Batch engine (core/batch.h, QueryEngine::run_batch):
 //   * differential property: run_batch of N queries is bit-identical to N
-//     independent runs — serial and parallel, with and without the
+//     independent runs — on 1 and 4 shards, with and without the
 //     subpattern cache, on random logs and random patterns,
 //   * the planner actually finds sharing (slots < nodes, nonzero hits),
 //   * where clauses and duplicate queries behave exactly as in run().
@@ -11,8 +11,8 @@
 
 #include "common/rng.h"
 #include "core/engine.h"
-#include "core/parallel_eval.h"
 #include "core/rewriter.h"
+#include "core/shard.h"
 #include "core/synthetic.h"
 #include "test_util.h"
 #include "workflow/workload.h"
@@ -47,10 +47,13 @@ TEST_P(BatchDifferentialTest, MatchesIndependentEvaluationEverywhere) {
   std::vector<IncidentSet> expected;
   for (const PatternPtr& p : patterns) expected.push_back(ev.evaluate(*p));
 
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+  for (const std::size_t k : {std::size_t{1}, std::size_t{4}}) {
+    const ShardPlan plan(index.wids(), k);
+    ShardPool pool(k - 1);
     for (const bool use_cache : {true, false}) {
       BatchOptions opts;
-      opts.threads = threads;
+      opts.shard_plan = &plan;
+      opts.shard_pool = &pool;
       opts.use_cache = use_cache;
       BatchEvalStats stats;
       const std::vector<IncidentSet> got =
@@ -58,7 +61,7 @@ TEST_P(BatchDifferentialTest, MatchesIndependentEvaluationEverywhere) {
       ASSERT_EQ(got.size(), expected.size());
       for (std::size_t q = 0; q < expected.size(); ++q) {
         EXPECT_EQ(got[q], expected[q])
-            << "seed=" << seed << " q=" << q << " threads=" << threads
+            << "seed=" << seed << " q=" << q << " K=" << k
             << " cache=" << use_cache;
       }
       EXPECT_EQ(stats.plan.num_queries, patterns.size());
@@ -87,6 +90,8 @@ TEST_P(BatchDifferentialTest, AgreesUnderSpanWindowsAndNaiveOperators) {
   pat.max_depth = 3;
   std::vector<PatternPtr> patterns;
   for (int q = 0; q < 5; ++q) patterns.push_back(random_pattern(rng, pat));
+  const ShardPlan plan(index.wids(), 4);
+  ShardPool pool(3);
 
   for (const bool optimized_ops : {true, false}) {
     for (const IsLsn span : {IsLsn{0}, IsLsn{4}}) {
@@ -95,7 +100,8 @@ TEST_P(BatchDifferentialTest, AgreesUnderSpanWindowsAndNaiveOperators) {
       eval.max_span = span;
       const Evaluator ev(index, eval);
       BatchOptions opts;
-      opts.threads = 2;
+      opts.shard_plan = &plan;
+      opts.shard_pool = &pool;
       opts.eval = eval;
       const std::vector<IncidentSet> got =
           evaluate_batch(patterns, index, opts);
@@ -115,7 +121,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BatchDifferentialTest,
 
 TEST(RunBatchTest, MatchesRunPerQuery) {
   const Log log = workload::clinic(30, 0xBA7C);
-  QueryEngine engine(log);
   const std::vector<std::string> queries = {
       "GetRefer -> GetReimburse",
       "SeeDoctor -> (UpdateRefer -> GetReimburse)",
@@ -123,16 +128,17 @@ TEST(RunBatchTest, MatchesRunPerQuery) {
       "GetRefer -> GetReimburse",  // duplicate of [0]
       "CheckIn & SeeDoctor",
   };
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+  for (const std::size_t k : {std::size_t{1}, std::size_t{4}}) {
+    QueryOptions opts;
+    opts.shards = k;
+    const QueryEngine engine(log, opts);
     for (const bool use_cache : {true, false}) {
-      const BatchResult batch =
-          engine.run_batch(queries, threads, use_cache);
+      const BatchResult batch = engine.run_batch(queries, 1, use_cache);
       ASSERT_EQ(batch.num_queries(), queries.size());
       for (std::size_t q = 0; q < queries.size(); ++q) {
         const QueryResult solo = engine.run(queries[q]);
         EXPECT_EQ(batch.results[q].incidents, solo.incidents)
-            << queries[q] << " threads=" << threads
-            << " cache=" << use_cache;
+            << queries[q] << " K=" << k << " cache=" << use_cache;
         EXPECT_TRUE(
             batch.results[q].executed->structurally_equal(*solo.executed))
             << "optimizer must choose the same plan inside a batch";
@@ -150,7 +156,7 @@ TEST(RunBatchTest, WhereClausesFilterExactlyAsRun) {
       "c:CreatePO -> p:Pay",
       "c:CreatePO -> p:Pay where c.out.poAmount > 1000000000",
   };
-  const BatchResult batch = engine.run_batch(queries, 2, true);
+  const BatchResult batch = engine.run_batch(queries);
   for (std::size_t q = 0; q < queries.size(); ++q) {
     EXPECT_EQ(batch.results[q].incidents,
               engine.run(queries[q]).incidents)

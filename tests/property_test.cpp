@@ -11,9 +11,9 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "core/engine.h"
-#include "core/parallel_eval.h"
 #include "core/printer.h"
 #include "core/rewriter.h"
+#include "core/shard.h"
 #include "log/io_csv.h"
 #include "log/io_jsonl.h"
 #include "log/io_xes.h"
@@ -192,22 +192,25 @@ TEST(SpanRewriteTest, NeighborsPreserveWindowedSemantics) {
   }
 }
 
-// ----- serial vs parallel under every option ------------------------------
+// ----- serial vs sharded on a pool under every option ---------------------
 
 TEST(ParallelConsistencyTest, OptionsMatrixAgrees) {
   const Log log = workload::random_process(25, 41);
   const LogIndex index(log);
   const PatternPtr p = parse_pattern("(A0 -> A1) | (A2 & A3)");
+  const ShardPlan plan(index.wids(), 4);
+  ShardPool pool(3);
   for (bool optimized : {false, true}) {
     for (IsLsn span : {IsLsn{0}, IsLsn{3}}) {
       EvalOptions eval_opts;
       eval_opts.use_optimized_operators = optimized;
       eval_opts.max_span = span;
       const Evaluator serial(index, eval_opts);
-      ParallelOptions par;
-      par.threads = 4;
-      par.eval = eval_opts;
-      EXPECT_EQ(evaluate_parallel(*p, index, par), serial.evaluate(*p))
+      ShardEvalOptions sharded;
+      sharded.eval = eval_opts;
+      sharded.pool = &pool;
+      EXPECT_EQ(evaluate_sharded(*p, index, plan, sharded),
+                serial.evaluate(*p))
           << "optimized=" << optimized << " span=" << span;
     }
   }

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -79,7 +80,10 @@ TEST(ResolveShardCountTest, ClampsToInstances) {
   EXPECT_EQ(resolve_shard_count(100, 4), 4u);
   EXPECT_EQ(resolve_shard_count(5, 0), 1u);   // no instances: one shard
   EXPECT_EQ(resolve_shard_count(1, 1), 1u);
-  EXPECT_GE(resolve_shard_count(0, 1000), 1u);  // 0 = hardware concurrency
+  // 0 = hardware concurrency (at least 1), still clamped to instances.
+  EXPECT_EQ(resolve_shard_count(0, 1000),
+            std::clamp<std::size_t>(std::thread::hardware_concurrency(), 1,
+                                    1000));
 }
 
 TEST(ShardPlanTest, PartitionsEveryWidExactlyOnce) {
@@ -254,6 +258,32 @@ TEST(ShardPoolTest, ShutdownUnderLoadLosesNoItems) {
     caller.join();
     EXPECT_EQ(ran.load(), 200);
   }
+}
+
+TEST(ShardPoolTest, ShortJobQueuedBehindLongJobFinishes) {
+  // A one-item job queued behind a long job is exhausted as soon as its
+  // owner claims that item, while the long job is still at the front.
+  // It must leave the queue right then: were it left for the workers to
+  // find once the long job drains, they would spin on an item-less job
+  // holding the pool mutex and neither run() would ever return.
+  ShardPool pool(2);
+  std::atomic<int> finished{0};
+  std::thread long_caller([&] {
+    pool.run(1000, [](std::size_t) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    });
+    finished.fetch_add(1);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  std::thread short_caller([&] {
+    pool.run(1, [](std::size_t) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    });
+    finished.fetch_add(1);
+  });
+  long_caller.join();
+  short_caller.join();
+  EXPECT_EQ(finished.load(), 2);
 }
 
 // ----- differential: library level ----------------------------------------
@@ -501,6 +531,14 @@ TEST(ShardGuardTest, PreCancelledTokenReportsCancelledForEveryK) {
     const QueryEngine engine(log, opts);
     const QueryResult r = engine.run("GetRefer -> GetReimburse");
     EXPECT_EQ(r.stop_reason, StopReason::kCancelled) << "K=" << k;
+    // The batch pass stops at the first instance too; the instances it
+    // skipped must assemble as empty, not be read as evaluated.
+    const std::vector<std::string> texts = {"GetRefer -> GetReimburse",
+                                            "SeeDoctor -> PayTreatment"};
+    const BatchResult batch = engine.run_batch(texts);
+    for (const QueryResult& slot : batch.results) {
+      EXPECT_EQ(slot.stop_reason, StopReason::kCancelled) << "K=" << k;
+    }
   }
 }
 
