@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <iterator>
 #include <utility>
 
 #include "core/printer.h"
@@ -55,23 +56,9 @@ std::string ResultCache::key(const Query& q, std::uint64_t version) {
   return out;
 }
 
-std::size_t ResultCache::result_bytes(const QueryResult& r) {
-  std::size_t n = sizeof(QueryResult) + 512;  // node + bookkeeping slack
-  for (const IncidentSet::Group& g : r.incidents.groups()) {
-    n += sizeof(IncidentSet::Group);
-    for (const Incident& o : g.incidents) {
-      n += sizeof(Incident) + o.positions().size() * sizeof(IsLsn);
-    }
-  }
-  // Pattern trees are retained via parsed/executed; count atoms + interior
-  // nodes at a flat estimate.
-  if (r.parsed != nullptr) {
-    n += (r.parsed->num_atoms() + r.parsed->num_operators()) * 96;
-  }
-  if (r.executed != nullptr && r.executed != r.parsed) {
-    n += (r.executed->num_atoms() + r.executed->num_operators()) * 96;
-  }
-  return n;
+std::size_t ResultCache::entry_bytes(const std::string& key,
+                                     const FlatResult& result) {
+  return key.size() + result.bytes();
 }
 
 ResultCache::Shard& ResultCache::shard_for(const std::string& key) {
@@ -92,11 +79,11 @@ void ResultCache::publish_bytes_metric() const {
   }
 }
 
-std::shared_ptr<const QueryResult> ResultCache::lookup(
+std::shared_ptr<const FlatResult> ResultCache::lookup(
     const std::string& key, const RunLimits& limits) {
   if (!enabled()) return nullptr;
   Shard& s = shard_for(key);
-  std::shared_ptr<const QueryResult> hit;
+  std::shared_ptr<const FlatResult> hit;
   bool limit_reject = false;
   {
     std::lock_guard lock(s.mu);
@@ -143,7 +130,7 @@ std::shared_ptr<const QueryResult> ResultCache::lookup(
   return hit;
 }
 
-std::shared_ptr<const QueryResult> ResultCache::peek(
+std::shared_ptr<const FlatResult> ResultCache::peek(
     const std::string& key, RunLimits* producing_limits) {
   if (!enabled()) return nullptr;
   Shard& s = shard_for(key);
@@ -158,8 +145,8 @@ std::shared_ptr<const QueryResult> ResultCache::peek(
   return it->second->result;
 }
 
-void ResultCache::insert(const std::string& key,
-                         std::shared_ptr<const QueryResult> result,
+void ResultCache::insert(const std::string& key, std::uint64_t version,
+                         std::shared_ptr<const FlatResult> result,
                          const RunLimits& limits) {
   if (!enabled() || result == nullptr) return;
   // Soundness: never cache a partial or failed answer. Callers already
@@ -168,29 +155,33 @@ void ResultCache::insert(const std::string& key,
 
   Entry entry;
   entry.key = key;
-  entry.bytes = key.size() + result_bytes(*result);
+  entry.version = version;
+  entry.bytes = entry_bytes(key, *result);
   entry.deadline_ms = limits.deadline.count();
   entry.max_incidents = limits.max_incidents;
   entry.result = std::move(result);
   if (entry.bytes > shard_budget_) return;  // would evict the whole shard
 
   Shard& s = shard_for(key);
+  // Entries leaving the cache are moved here and freed after the unlock.
+  std::list<Entry> released;
   std::uint64_t evicted = 0;
   {
     std::lock_guard lock(s.mu);
+    if (version < s.min_version) return;
     if (const auto it = s.map.find(std::string_view(key));
         it != s.map.end()) {
       // Refresh: a concurrent miss recomputed the same answer. Keep the
       // newer entry (its limits may be looser, widening future hits).
       s.bytes -= it->second->bytes;
-      s.lru.erase(it->second);
+      released.splice(released.end(), s.lru, it->second);
       s.map.erase(it);
     }
     while (!s.lru.empty() && s.bytes + entry.bytes > shard_budget_) {
-      const Entry& victim = s.lru.back();
-      s.bytes -= victim.bytes;
-      s.map.erase(std::string_view(victim.key));
-      s.lru.pop_back();
+      const auto victim = std::prev(s.lru.end());
+      s.bytes -= victim->bytes;
+      s.map.erase(std::string_view(victim->key));
+      released.splice(released.end(), s.lru, victim);
       ++evicted;
     }
     s.bytes += entry.bytes;
@@ -199,6 +190,7 @@ void ResultCache::insert(const std::string& key,
     ++s.insertions;
     s.evictions += evicted;
   }
+  released.clear();
   WFLOG_TELEMETRY(t) {
     t->metrics
         .counter("wflog_server_cache_insertions_total",
@@ -214,6 +206,40 @@ void ResultCache::insert(const std::string& key,
   publish_bytes_metric();
 }
 
+void ResultCache::purge_below(std::uint64_t version) {
+  if (!enabled()) return;
+  std::uint64_t purged = 0;
+  for (const auto& sp : shards_) {
+    Shard& s = *sp;
+    std::list<Entry> released;
+    {
+      std::lock_guard lock(s.mu);
+      s.min_version = std::max(s.min_version, version);
+      for (auto it = s.lru.begin(); it != s.lru.end();) {
+        const auto next = std::next(it);
+        if (it->version < version) {
+          s.bytes -= it->bytes;
+          s.map.erase(std::string_view(it->key));
+          released.splice(released.end(), s.lru, it);
+          ++s.purged;
+        }
+        it = next;
+      }
+    }
+    purged += released.size();
+  }
+  WFLOG_TELEMETRY(t) {
+    if (purged > 0) {
+      t->metrics
+          .counter("wflog_server_cache_purged_total",
+                   "wfqd result cache entries dropped because a newer "
+                   "snapshot version was published")
+          ->add(purged);
+    }
+  }
+  publish_bytes_metric();
+}
+
 CacheStats ResultCache::stats() const {
   CacheStats out;
   out.max_bytes = options_.max_bytes;
@@ -224,6 +250,7 @@ CacheStats ResultCache::stats() const {
     out.insertions += s->insertions;
     out.evictions += s->evictions;
     out.limit_rejects += s->limit_rejects;
+    out.purged += s->purged;
     out.entries += s->lru.size();
     out.bytes += s->bytes;
   }

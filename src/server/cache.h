@@ -16,9 +16,12 @@
 //                            clause means, so queries with a where clause
 //                            additionally key on the binding-carrying
 //                            pattern text + the where expression text;
-//   snapshot version         ingest publishes a new version; entries for
-//                            old versions simply stop being looked up and
-//                            age out of the LRU — no invalidation scan.
+//   snapshot version         ingest publishes a new version; each entry
+//                            records the version it answers, and once the
+//                            ingest has repaired the subscribed entries
+//                            (QueryService::route_matches) it purges every
+//                            entry of an older version (purge_below) —
+//                            none of them can hit again.
 //
 // Soundness rules (the "bugfix" half of the design):
 //
@@ -32,11 +35,16 @@
 //
 // Structure: N shards, each `max_bytes / N` of budget with its own mutex,
 // LRU list and key map — lookups on different shards never contend.
-// Values are shared_ptr<const QueryResult>, so serving a hit is a refcount
-// bump and eviction can proceed while a reader still renders the result.
+// Values are shared_ptr<const FlatResult> (server/flat_result.h): a
+// result is a handful of flat arrays whatever its size, serving a hit is
+// a refcount bump, and an entry's bytes are exactly FlatResult::bytes()
+// plus its key. Entries that leave the cache (eviction, replacement,
+// purge) are released after the shard mutex is dropped, so freeing a
+// large answer never stalls another request's lookup.
 //
 // Metrics (registered lazily, obs/telemetry.h; names are Prometheus-ready):
-//   wflog_server_cache_{hits,misses,insertions,evictions}_total (counters)
+//   wflog_server_cache_{hits,misses,insertions,evictions,purged}_total
+//                                                             (counters)
 //   wflog_server_cache_bytes (gauge)
 
 #include <cstddef>
@@ -49,6 +57,7 @@
 #include <vector>
 
 #include "core/engine.h"
+#include "server/flat_result.h"
 
 namespace wflog::server {
 
@@ -68,6 +77,8 @@ struct CacheStats {
   std::uint64_t evictions = 0;
   /// Lookups that found an entry but refused it (tighter request limits).
   std::uint64_t limit_rejects = 0;
+  /// Entries dropped because a newer snapshot version was published.
+  std::uint64_t purged = 0;
   std::size_t entries = 0;
   std::size_t bytes = 0;
   std::size_t max_bytes = 0;
@@ -88,32 +99,40 @@ class ResultCache {
   /// Returns the cached complete result, or nullptr on miss. `limits` are
   /// the requester's effective limits; an entry produced under tighter
   /// ones is not served (counted as limit_rejects + miss).
-  std::shared_ptr<const QueryResult> lookup(const std::string& key,
-                                            const RunLimits& limits);
+  std::shared_ptr<const FlatResult> lookup(const std::string& key,
+                                           const RunLimits& limits);
 
-  /// Stores a result produced under `limits`. Refuses (no-op) incomplete
-  /// results (error or stop_reason != kNone), oversized entries, and
-  /// everything when the cache is disabled.
-  void insert(const std::string& key,
-              std::shared_ptr<const QueryResult> result,
+  /// Stores a result for snapshot `version` produced under `limits`.
+  /// Refuses (no-op) incomplete results (error or stop_reason != kNone),
+  /// oversized entries, versions already purged, and everything when the
+  /// cache is disabled.
+  void insert(const std::string& key, std::uint64_t version,
+              std::shared_ptr<const FlatResult> result,
               const RunLimits& limits);
 
   /// Non-serving probe for incremental repair: returns the entry's result
   /// (and, when `producing_limits` is non-null, the limits it was produced
   /// under) WITHOUT touching the LRU order or the hit/miss counters, so a
   /// repair scan does not distort cache statistics. Nullptr when absent.
-  std::shared_ptr<const QueryResult> peek(const std::string& key,
-                                          RunLimits* producing_limits);
+  std::shared_ptr<const FlatResult> peek(const std::string& key,
+                                         RunLimits* producing_limits);
+
+  /// Drops every entry recorded for a version below `version`, and refuses
+  /// later inserts of such versions (a reader still on an old snapshot
+  /// cannot re-add one).
+  void purge_below(std::uint64_t version);
 
   CacheStats stats() const;
 
-  /// Approximate retained bytes of one result (used for the budget).
-  static std::size_t result_bytes(const QueryResult& r);
+  /// Budget bytes of one entry: its key plus FlatResult::bytes().
+  static std::size_t entry_bytes(const std::string& key,
+                                 const FlatResult& result);
 
  private:
   struct Entry {
     std::string key;
-    std::shared_ptr<const QueryResult> result;
+    std::uint64_t version = 0;
+    std::shared_ptr<const FlatResult> result;
     std::size_t bytes = 0;
     /// Effective limits of the producing run; 0 = unlimited.
     std::int64_t deadline_ms = 0;
@@ -126,11 +145,14 @@ class ResultCache {
     std::list<Entry> lru;
     std::unordered_map<std::string_view, std::list<Entry>::iterator> map;
     std::size_t bytes = 0;
+    /// Versions below this were purged and are not stored again.
+    std::uint64_t min_version = 0;
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t insertions = 0;
     std::uint64_t evictions = 0;
     std::uint64_t limit_rejects = 0;
+    std::uint64_t purged = 0;
   };
 
   Shard& shard_for(const std::string& key);

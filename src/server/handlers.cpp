@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <map>
 #include <unordered_map>
 #include <utility>
 
@@ -13,6 +12,7 @@
 #include "core/printer.h"
 #include "obs/export.h"
 #include "obs/telemetry.h"
+#include "server/flat_result.h"
 #include "server/json.h"
 
 // Stamped by the build (src/CMakeLists.txt) for GET /version.
@@ -70,51 +70,68 @@ NamedAttrs to_named_attrs(const JsonValue* obj) {
   return attrs;
 }
 
-/// Renders one QueryResult as the /query (and /batch slot) shape. `limit`
+/// Renders group `g` of `r`, stopping once `rendered` (counted across
+/// the groups of one response) reaches `limit`.
+JsonValue render_group(const FlatResult& r, std::size_t g, std::size_t limit,
+                       std::size_t& rendered) {
+  JsonArray incidents;
+  const std::size_t end = r.group_offsets[g + 1];
+  for (std::size_t i = r.group_offsets[g]; i < end; ++i) {
+    if (rendered >= limit) break;
+    JsonArray positions;
+    for (const IsLsn n : r.incident(i)) {
+      positions.emplace_back(static_cast<std::int64_t>(n));
+    }
+    incidents.emplace_back(std::move(positions));
+    ++rendered;
+  }
+  JsonValue group;
+  group.set("wid", static_cast<std::int64_t>(r.wids[g]));
+  group.set("incidents", std::move(incidents));
+  return group;
+}
+
+JsonValue render_timings(const FlatResult& r) {
+  JsonValue timings;
+  timings.set("parse_us", r.parse_us);
+  timings.set("optimize_us", r.optimize_us);
+  timings.set("eval_us", r.eval_us);
+  return timings;
+}
+
+/// Renders one result as the /query (and /batch slot) shape. `limit`
 /// caps rendered incidents (the response size), never the evaluation —
 /// "total" always reports the full count.
-JsonValue render_result(const QueryResult& r, std::size_t limit) {
+JsonValue render_result(const FlatResult& r, std::size_t limit) {
   JsonValue out;
   if (!r.ok()) {
     out.set("error", r.error);
     return out;
   }
-  out.set("pattern", r.parsed != nullptr ? to_text(*r.parsed) : "");
-  out.set("optimized", r.executed != nullptr ? to_text(*r.executed) : "");
-  out.set("instances", r.incidents.groups().size());
+  out.set("pattern", r.pattern);
+  out.set("optimized", r.optimized);
+  out.set("instances", r.num_groups());
   out.set("total", r.total());
   out.set("complete", r.complete());
   out.set("stop_reason", std::string(stop_reason_name(r.stop_reason)));
 
   JsonArray groups;
   std::size_t rendered = 0;
-  for (const IncidentSet::Group& g : r.incidents.groups()) {
-    if (rendered >= limit) break;
-    JsonArray incidents;
-    for (const Incident& o : g.incidents) {
-      if (rendered >= limit) break;
-      JsonArray positions;
-      for (const IsLsn n : o.positions()) {
-        positions.emplace_back(static_cast<std::int64_t>(n));
-      }
-      incidents.emplace_back(std::move(positions));
-      ++rendered;
-    }
-    JsonValue group;
-    group.set("wid", static_cast<std::int64_t>(g.wid));
-    group.set("incidents", std::move(incidents));
-    groups.emplace_back(std::move(group));
+  for (std::size_t g = 0; g < r.num_groups() && rendered < limit; ++g) {
+    groups.emplace_back(render_group(r, g, limit, rendered));
   }
   out.set("incidents", std::move(groups));
   out.set("rendered", rendered);
   out.set("render_truncated", rendered < r.total());
-
-  JsonValue timings;
-  timings.set("parse_us", r.parse_us);
-  timings.set("optimize_us", r.optimize_us);
-  timings.set("eval_us", r.eval_us);
-  out.set("timings", std::move(timings));
+  out.set("timings", render_timings(r));
   return out;
+}
+
+/// The flat form of a fresh evaluation. Taking the QueryResult by value
+/// frees its per-incident vectors here, on the request thread, as soon as
+/// the copy is made.
+std::shared_ptr<const FlatResult> flatten(QueryResult fresh) {
+  return std::make_shared<const FlatResult>(FlatResult::from(fresh));
 }
 
 std::size_t read_size(const JsonValue& body, std::string_view key,
@@ -147,9 +164,9 @@ void set_cache_header(HttpResponse& resp, bool hit) {
 /// uncached evaluation of THIS spelling would have returned.
 void reecho_pattern_texts(JsonValue& slot, const Query& q,
                           const QueryEngine& engine,
-                          const QueryResult& cached) {
+                          const FlatResult& cached) {
   const std::string req_text = to_text(*q.pattern);
-  if (cached.parsed != nullptr && to_text(*cached.parsed) == req_text) {
+  if (cached.pattern == req_text) {
     return;  // the entry was populated by this very spelling
   }
   PatternPtr executed = q.pattern;
@@ -303,6 +320,7 @@ bool QueryService::recover_store(std::string* error) {
     last_bad_.clear();
     last_bad_dropped_ = 0;
     rebuild_state();  // strictly newer snapshot version
+    if (cache_ != nullptr) cache_->purge_below(version_seq_);
     // Rebuilding the monitor dropped every standing query with it:
     // re-register them against the durable replay and reconcile delivery
     // (fed_raw skips the already-routed prefix), then resume.
@@ -319,17 +337,6 @@ bool QueryService::recover_store(std::string* error) {
     return false;
   }
 }
-
-namespace {
-
-/// Sorted-unique insert preserving the IncidentList canonical invariant.
-void insert_incident(IncidentList& list, const Incident& o) {
-  const auto it = std::lower_bound(list.begin(), list.end(), o);
-  if (it != list.end() && *it == o) return;
-  list.insert(it, o);
-}
-
-}  // namespace
 
 std::string QueryService::render_sub_event(const Query& parsed,
                                            const Incident& incident,
@@ -400,31 +407,15 @@ void QueryService::route_matches(const std::vector<LogMonitor::Match>& raw,
     // under the new key instead of letting the ingest invalidate it.
     if (cache_ == nullptr || !cache_->enabled()) continue;
     RunLimits produced;
-    const auto old =
+    auto old =
         cache_->peek(ResultCache::key(sub->parsed, old_version), &produced);
-    if (old == nullptr || !old->ok() || !old->complete()) continue;
-    auto repaired = std::make_shared<QueryResult>();
-    repaired->parsed = old->parsed;
-    repaired->executed = old->executed;
-    repaired->where = old->where;
-    repaired->parse_us = old->parse_us;
-    repaired->optimize_us = old->optimize_us;
-    repaired->eval_us = old->eval_us;
-    repaired->estimated_cost_before = old->estimated_cost_before;
-    repaired->estimated_cost_after = old->estimated_cost_after;
-    repaired->shards_used = old->shards_used;
-    repaired->stop_reason = old->stop_reason;
-    std::map<Wid, IncidentList> merged;
-    for (const IncidentSet::Group& g : old->incidents.groups()) {
-      merged.emplace(g.wid, g.incidents);
-    }
-    for (const Incident* o : delta) {
-      insert_incident(merged[o->wid()], *o);
-    }
-    for (auto& [wid, incidents] : merged) {
-      repaired->incidents.add_group(wid, std::move(incidents));
-    }
-    cache_->insert(ResultCache::key(sub->parsed, st->version),
+    if (old == nullptr || !old->complete()) continue;
+    // An empty delta leaves the answer as it was: the new key shares the
+    // old (immutable) entry.
+    auto repaired = delta.empty() ? std::move(old)
+                                  : std::make_shared<const FlatResult>(
+                                        FlatResult::merged(*old, delta));
+    cache_->insert(ResultCache::key(sub->parsed, st->version), st->version,
                    std::move(repaired), produced);
     ++cache_repairs_;
   }
@@ -482,8 +473,14 @@ void QueryService::rebuild_state() {
     fresh->engine =
         std::make_unique<QueryEngine>(*fresh->log, options_.engine);
   }
-  std::lock_guard lock(state_mu_);
-  state_ = std::move(fresh);
+  std::shared_ptr<const State> retired = std::move(fresh);
+  {
+    std::lock_guard lock(state_mu_);
+    state_.swap(retired);
+  }
+  // `retired` now holds the previous snapshot. When no reader still holds
+  // it, its Log, index and engine are freed here, after state_mu_ is
+  // released, so readers fetching the new snapshot never wait on that.
 }
 
 RunLimits QueryService::limits_from(const JsonValue& body) const {
@@ -634,48 +631,45 @@ HttpResponse QueryService::handle_query(const HttpRequest& req,
       return resp;
     }
     const bool cache_on = cache_ != nullptr && cache_->enabled();
-    std::shared_ptr<const QueryResult> result;
+    std::shared_ptr<const FlatResult> result;
     bool cache_hit = false;
+    std::string key;
     if (cache_on) {
       const auto tc0 = Clock::now();
-      const std::string key = ResultCache::key(parsed, st->version);
+      key = ResultCache::key(parsed, st->version);
       if (!no_cache_requested(req)) {
         result = cache_->lookup(key, limits);
         cache_hit = result != nullptr;
       }
       ctx.cache_us += us_since(tc0);
-      if (result == nullptr) {
-        const auto te0 = Clock::now();
-        auto fresh = std::make_shared<QueryResult>(
-            st->engine->run(parsed.pattern, parsed.where, limits));
-        ctx.eval_us = us_since(te0);
-        ctx.shards = fresh->shards_used;
-        fresh->parse_us = query_parse_us;
-        const auto ti0 = Clock::now();
-        cache_->insert(key, fresh, limits);
-        ctx.cache_us += us_since(ti0);
-        result = std::move(fresh);
-      }
       ctx.cache = cache_hit ? 1 : 0;
-    } else {
+    }
+    if (result == nullptr) {
       const auto te0 = Clock::now();
-      auto fresh = std::make_shared<QueryResult>(
-          st->engine->run(parsed.pattern, parsed.where, limits));
+      QueryResult fresh =
+          st->engine->run(parsed.pattern, parsed.where, limits);
       ctx.eval_us = us_since(te0);
-      ctx.shards = fresh->shards_used;
-      fresh->parse_us = query_parse_us;
-      result = std::move(fresh);
+      ctx.shards = fresh.shards_used;
+      fresh.parse_us = query_parse_us;
+      // Flattening (and freeing the per-incident result) prepares the
+      // response, so it counts as serialization.
+      const auto tf0 = Clock::now();
+      result = flatten(std::move(fresh));
+      ctx.serialize_us += us_since(tf0);
+      if (cache_on) {
+        const auto ti0 = Clock::now();
+        cache_->insert(key, st->version, result, limits);
+        ctx.cache_us += us_since(ti0);
+      }
     }
     if (stream_requested && result->ok()) {
       const auto ts0 = Clock::now();
       ctx.stop_reason = stop_reason_name(result->stop_reason);
-      ctx.plan =
-          result->executed != nullptr ? to_text(*result->executed) : "";
+      ctx.plan = result->optimized;
       // Same spelling guarantee reecho_pattern_texts gives the buffered
       // path: echo THIS request's text, not the cache populator's.
-      std::string pattern_text =
-          result->parsed != nullptr ? to_text(*result->parsed) : "";
-      std::string optimized_text = ctx.plan;
+      std::string pattern_text = result->pattern;
+      std::string optimized_text = result->optimized;
       if (cache_hit && pattern_text != to_text(*parsed.pattern)) {
         pattern_text = to_text(*parsed.pattern);
         PatternPtr executed = parsed.pattern;
@@ -697,51 +691,35 @@ HttpResponse QueryService::handle_query(const HttpRequest& req,
         head.set("query", query_text);
         head.set("pattern", pattern_text);
         head.set("optimized", optimized_text);
-        head.set("instances", result->incidents.groups().size());
+        head.set("instances", result->num_groups());
         head.set("total", result->total());
         head.set("complete", result->complete());
         head.set("stop_reason",
                  std::string(stop_reason_name(result->stop_reason)));
         if (!w.write_chunk(head.dump() + "\n")) return;
         std::size_t rendered = 0;
-        for (const IncidentSet::Group& g : result->incidents.groups()) {
+        for (std::size_t g = 0; g < result->num_groups(); ++g) {
           if (rendered >= render_limit || w.failed()) break;
-          JsonArray incidents;
-          for (const Incident& o : g.incidents) {
-            if (rendered >= render_limit) break;
-            JsonArray positions;
-            for (const IsLsn n : o.positions()) {
-              positions.emplace_back(static_cast<std::int64_t>(n));
-            }
-            incidents.emplace_back(std::move(positions));
-            ++rendered;
-          }
-          JsonValue group;
-          group.set("wid", static_cast<std::int64_t>(g.wid));
-          group.set("incidents", std::move(incidents));
+          const JsonValue group =
+              render_group(*result, g, render_limit, rendered);
           if (!w.write_chunk(group.dump() + "\n")) return;
         }
         JsonValue tail;
         tail.set("rendered", rendered);
         tail.set("render_truncated", rendered < result->total());
-        JsonValue timings;
-        timings.set("parse_us", result->parse_us);
-        timings.set("optimize_us", result->optimize_us);
-        timings.set("eval_us", result->eval_us);
-        tail.set("timings", std::move(timings));
+        tail.set("timings", render_timings(*result));
         w.write_chunk(tail.dump() + "\n");
       };
-      ctx.serialize_us = us_since(ts0);
+      ctx.serialize_us += us_since(ts0);
       return resp;
     }
-    // Plan rendering for the slow capture counts as serialization work,
-    // and so does tearing down the rendered JSON tree and (when the
-    // cache didn't take ownership) the result itself — both scale with
-    // the response and would otherwise be an untimed gap in the
-    // breakdown.
+    // Plan text for the slow capture counts as serialization work, and so
+    // does tearing down the rendered JSON tree and (when the cache didn't
+    // take ownership) the flat result — both scale with the response and
+    // would otherwise be an untimed gap in the breakdown.
     const auto ts0 = Clock::now();
     ctx.stop_reason = stop_reason_name(result->stop_reason);
-    ctx.plan = result->executed != nullptr ? to_text(*result->executed) : "";
+    ctx.plan = result->optimized;
     HttpResponse resp;
     {
       JsonValue out;
@@ -757,7 +735,7 @@ HttpResponse QueryService::handle_query(const HttpRequest& req,
     }
     result.reset();
     if (cache_on) set_cache_header(resp, cache_hit);
-    ctx.serialize_us = us_since(ts0);
+    ctx.serialize_us += us_since(ts0);
     return resp;
   } catch (const ParseError& e) {
     return HttpResponse::error(400, e.what());
@@ -856,7 +834,7 @@ HttpResponse QueryService::handle_batch(const HttpRequest& req,
     ctx.stop_reason = batch_stop_reason(batch.results);
     const auto ts0 = Clock::now();
     for (const QueryResult& r : batch.results) {
-      results.emplace_back(render_result(r, render_limit));
+      results.emplace_back(render_result(FlatResult::from(r), render_limit));
     }
     out.set("results", std::move(results));
 
@@ -882,7 +860,7 @@ HttpResponse QueryService::handle_batch(const HttpRequest& req,
   // path (render_result), so answers are bit-identical either way; only
   // the "stats" block shrinks to describe the pass that actually ran.
   const bool bypass = no_cache_requested(req);
-  std::vector<std::shared_ptr<const QueryResult>> slots(texts.size());
+  std::vector<std::shared_ptr<const FlatResult>> slots(texts.size());
   std::vector<std::string> keys(texts.size());
   std::vector<std::optional<Query>> hit_query(texts.size());
   std::vector<Query> miss_queries;
@@ -904,7 +882,7 @@ HttpResponse QueryService::handle_batch(const HttpRequest& req,
     } catch (const std::exception& e) {
       // Same error-slot isolation (and message) the text overload of
       // run_batch produces; parse failures are never cached.
-      auto err = std::make_shared<QueryResult>();
+      auto err = std::make_shared<FlatResult>();
       err->error = e.what();
       slots[i] = std::move(err);
     }
@@ -918,11 +896,14 @@ HttpResponse QueryService::handle_batch(const HttpRequest& req,
                                   /*use_cache=*/true, limits);
     ctx.eval_us = us_since(te0);
     ctx.shards = st->engine->shards();
-    const auto ti0 = Clock::now();
+    const auto tf0 = Clock::now();
     for (std::size_t j = 0; j < miss_index.size(); ++j) {
-      auto r = std::make_shared<QueryResult>(std::move(batch.results[j]));
-      cache_->insert(keys[miss_index[j]], r, limits);
-      slots[miss_index[j]] = std::move(r);
+      slots[miss_index[j]] = flatten(std::move(batch.results[j]));
+    }
+    ctx.serialize_us += us_since(tf0);
+    const auto ti0 = Clock::now();
+    for (const std::size_t i : miss_index) {
+      cache_->insert(keys[i], st->version, slots[i], limits);
     }
     ctx.cache_us += us_since(ti0);
   }
@@ -963,7 +944,7 @@ HttpResponse QueryService::handle_batch(const HttpRequest& req,
   out.set("stats", std::move(stats));
   HttpResponse resp = HttpResponse::json(200, out.dump());
   set_cache_header(resp, served_hits == texts.size());
-  ctx.serialize_us = us_since(ts0);
+  ctx.serialize_us += us_since(ts0);
   return resp;
 }
 
@@ -1110,6 +1091,8 @@ HttpResponse QueryService::handle_ingest(const HttpRequest& req,
     const std::uint64_t old_version = version_seq_;
     rebuild_state();
     route_matches(routed, state(), old_version);
+    // The subscribed entries are repaired; nothing older can hit again.
+    if (cache_ != nullptr) cache_->purge_below(version_seq_);
   }
   ctx.eval_us = us_since(te0);  // monitor+store appends + snapshot rebuild
 
@@ -1455,6 +1438,7 @@ HttpResponse QueryService::handle_stats(const HttpRequest&) const {
     c.set("insertions", static_cast<std::int64_t>(cs.insertions));
     c.set("evictions", static_cast<std::int64_t>(cs.evictions));
     c.set("limit_rejects", static_cast<std::int64_t>(cs.limit_rejects));
+    c.set("purged", static_cast<std::int64_t>(cs.purged));
     c.set("entries", cs.entries);
     c.set("bytes", cs.bytes);
     c.set("max_bytes", cs.max_bytes);

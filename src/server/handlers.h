@@ -144,8 +144,8 @@ class QueryService {
     std::optional<Log> log;               // nullopt = empty log
     std::unique_ptr<QueryEngine> engine;  // null iff log is empty
     /// Monotonic snapshot version; part of every cache key, so an ingest
-    /// that publishes a new snapshot implicitly invalidates all cached
-    /// results (old-version entries age out of the LRU).
+    /// that publishes a new snapshot invalidates all cached results (it
+    /// repairs the subscribed ones, then purges every older version).
     std::uint64_t version = 1;
   };
 

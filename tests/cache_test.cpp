@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <optional>
@@ -35,13 +36,14 @@ namespace {
 
 using server::CacheOptions;
 using server::CacheStats;
+using server::FlatResult;
 using server::ResultCache;
 
-std::shared_ptr<const QueryResult> complete_result() {
-  auto r = std::make_shared<QueryResult>();
-  r->parsed = Pattern::atom("a");
-  r->executed = r->parsed;
-  return r;
+std::shared_ptr<const FlatResult> complete_result() {
+  QueryResult r;
+  r.parsed = Pattern::atom("a");
+  r.executed = r.parsed;
+  return std::make_shared<const FlatResult>(FlatResult::from(r));
 }
 
 RunLimits limits_of(std::int64_t deadline_ms, std::size_t max_incidents) {
@@ -73,19 +75,19 @@ TEST(ResultCacheTest, KeySeparatesPatternWhereAndVersion) {
 TEST(ResultCacheTest, InsertLookupAndLruEviction) {
   CacheOptions co;
   co.shards = 1;  // deterministic LRU order
-  co.max_bytes = 3 * (ResultCache::result_bytes(*complete_result()) + 64);
+  co.max_bytes = 3 * (complete_result()->bytes() + 64);
   ResultCache cache(co);
   const RunLimits unlimited;
 
-  cache.insert("k1", complete_result(), unlimited);
-  cache.insert("k2", complete_result(), unlimited);
+  cache.insert("k1", 1, complete_result(), unlimited);
+  cache.insert("k2", 1, complete_result(), unlimited);
   EXPECT_NE(cache.lookup("k1", unlimited), nullptr);  // k1 now most recent
   EXPECT_NE(cache.lookup("k2", unlimited), nullptr);
   EXPECT_EQ(cache.lookup("missing", unlimited), nullptr);
 
   // Fill past the budget: the least recently used entry (k1) goes first.
-  cache.insert("k3", complete_result(), unlimited);
-  cache.insert("k4", complete_result(), unlimited);
+  cache.insert("k3", 1, complete_result(), unlimited);
+  cache.insert("k4", 1, complete_result(), unlimited);
   const CacheStats s = cache.stats();
   EXPECT_GT(s.evictions, 0u);
   EXPECT_LE(s.bytes, co.max_bytes);
@@ -99,17 +101,17 @@ TEST(ResultCacheTest, RefusesIncompleteResults) {
   ResultCache cache(co);
   const RunLimits unlimited;
 
-  auto truncated = std::make_shared<QueryResult>(*complete_result());
+  auto truncated = std::make_shared<FlatResult>(*complete_result());
   truncated->stop_reason = StopReason::kDeadline;
-  cache.insert("deadline", truncated, unlimited);
+  cache.insert("deadline", 1, truncated, unlimited);
 
-  auto budget = std::make_shared<QueryResult>(*complete_result());
+  auto budget = std::make_shared<FlatResult>(*complete_result());
   budget->stop_reason = StopReason::kIncidentBudget;
-  cache.insert("budget", budget, unlimited);
+  cache.insert("budget", 1, budget, unlimited);
 
-  auto failed = std::make_shared<QueryResult>(*complete_result());
+  auto failed = std::make_shared<FlatResult>(*complete_result());
   failed->error = "boom";
-  cache.insert("error", failed, unlimited);
+  cache.insert("error", 1, failed, unlimited);
 
   EXPECT_EQ(cache.stats().insertions, 0u);
   EXPECT_EQ(cache.lookup("deadline", unlimited), nullptr);
@@ -123,7 +125,7 @@ TEST(ResultCacheTest, TighterLimitsAreNotServedFromCache) {
   ResultCache cache(co);
 
   // Stored under a 100ms / 50-incident budget.
-  cache.insert("k", complete_result(), limits_of(100, 50));
+  cache.insert("k", 1, complete_result(), limits_of(100, 50));
 
   // Equal or looser budgets may be served...
   EXPECT_NE(cache.lookup("k", limits_of(100, 50)), nullptr);
@@ -137,7 +139,7 @@ TEST(ResultCacheTest, TighterLimitsAreNotServedFromCache) {
   // An entry produced WITHOUT limits (0 = unlimited) serves unlimited
   // requests, but a request that asks for ANY finite budget is tighter
   // than unlimited: it owes the caller its own possibly-truncated run.
-  cache.insert("u", complete_result(), limits_of(0, 0));
+  cache.insert("u", 1, complete_result(), limits_of(0, 0));
   EXPECT_NE(cache.lookup("u", limits_of(0, 0)), nullptr);
   EXPECT_EQ(cache.lookup("u", limits_of(1, 1)), nullptr);
 
@@ -148,9 +150,148 @@ TEST(ResultCacheTest, TighterLimitsAreNotServedFromCache) {
 TEST(ResultCacheTest, DisabledCacheNeverStores) {
   ResultCache cache(CacheOptions{});  // max_bytes = 0
   EXPECT_FALSE(cache.enabled());
-  cache.insert("k", complete_result(), RunLimits{});
+  cache.insert("k", 1, complete_result(), RunLimits{});
   EXPECT_EQ(cache.lookup("k", RunLimits{}), nullptr);
   EXPECT_EQ(cache.stats().insertions, 0u);
+}
+
+TEST(ResultCacheTest, BytesAreTheSumOfEntrySizesWithinBudget) {
+  // Real answers of different sizes, inserted until the LRU evicts.
+  const Log log = testing::make_log(
+      "a b c d ; d c b a ; a c b d ; a b d c ; a a b b ; c c d d");
+  const QueryEngine engine(log);
+  std::vector<std::shared_ptr<const FlatResult>> answers;
+  for (const char* q : {"a -> b", "b | c", "a & d", "!b", "a", "c -> d"}) {
+    answers.push_back(
+        std::make_shared<const FlatResult>(FlatResult::from(engine.run(q))));
+  }
+  CacheOptions co;
+  co.shards = 2;
+  co.max_bytes = 3 * (answers[0]->bytes() + 64);
+  ResultCache cache(co);
+  const RunLimits unlimited;
+
+  std::vector<std::string> keys;
+  for (int round = 0; round < 4; ++round) {
+    for (const auto& answer : answers) {
+      keys.push_back("k" + std::to_string(keys.size()));
+      cache.insert(keys.back(), 1, answer, unlimited);
+      std::size_t sum = 0;
+      for (const std::string& k : keys) {
+        if (const auto entry = cache.peek(k, nullptr)) {
+          sum += ResultCache::entry_bytes(k, *entry);
+        }
+      }
+      const CacheStats s = cache.stats();
+      EXPECT_EQ(s.bytes, sum);
+      EXPECT_LE(s.bytes, co.max_bytes);
+    }
+  }
+  EXPECT_GT(cache.stats().evictions, 0u);
+}
+
+TEST(ResultCacheTest, PurgeDropsOlderVersionsAndRefusesThemLater) {
+  CacheOptions co;
+  co.max_bytes = 1 << 20;
+  ResultCache cache(co);
+  const RunLimits unlimited;
+  cache.insert("a@1", 1, complete_result(), unlimited);
+  cache.insert("b@1", 1, complete_result(), unlimited);
+  cache.insert("a@2", 2, complete_result(), unlimited);
+
+  cache.purge_below(2);
+  CacheStats s = cache.stats();
+  EXPECT_EQ(s.entries, 1u);
+  EXPECT_EQ(s.purged, 2u);
+  EXPECT_EQ(s.bytes, ResultCache::entry_bytes("a@2", *complete_result()));
+  EXPECT_EQ(cache.lookup("a@1", unlimited), nullptr);
+  EXPECT_NE(cache.lookup("a@2", unlimited), nullptr);
+
+  // A reader still on snapshot 1 cannot re-add its answer.
+  cache.insert("c@1", 1, complete_result(), unlimited);
+  EXPECT_EQ(cache.peek("c@1", nullptr), nullptr);
+  EXPECT_EQ(cache.stats().entries, 1u);
+}
+
+// ----- FlatResult ---------------------------------------------------------
+
+IncidentSet incident_set(
+    const std::vector<std::pair<Wid, std::vector<std::vector<IsLsn>>>>&
+        groups) {
+  IncidentSet out;
+  for (const auto& [wid, incidents] : groups) {
+    IncidentList list;
+    for (const auto& positions : incidents) {
+      Incident o = Incident::singleton(wid, positions.front());
+      for (std::size_t i = 1; i < positions.size(); ++i) {
+        o = Incident::merged(o, Incident::singleton(wid, positions[i]));
+      }
+      list.push_back(std::move(o));
+    }
+    canonicalize(list);
+    out.add_group(wid, std::move(list));
+  }
+  return out;
+}
+
+void expect_same_incidents(const FlatResult& a, const FlatResult& b) {
+  EXPECT_EQ(a.wids, b.wids);
+  EXPECT_EQ(a.group_offsets, b.group_offsets);
+  EXPECT_EQ(a.incident_offsets, b.incident_offsets);
+  EXPECT_EQ(a.positions, b.positions);
+}
+
+TEST(FlatResultTest, FromKeepsGroupAndCanonicalIncidentOrder) {
+  QueryResult r;
+  r.incidents = incident_set({{2, {{1, 3}, {2, 3}}}, {5, {{4}}}});
+  const FlatResult flat = FlatResult::from(r);
+  EXPECT_EQ(flat.wids, (std::vector<Wid>{2, 5}));
+  EXPECT_EQ(flat.group_offsets, (std::vector<std::size_t>{0, 2, 3}));
+  EXPECT_EQ(flat.incident_offsets, (std::vector<std::size_t>{0, 2, 4, 5}));
+  EXPECT_EQ(flat.positions, (std::vector<IsLsn>{1, 3, 2, 3, 4}));
+  EXPECT_EQ(flat.total(), r.total());
+  EXPECT_EQ(flat.num_groups(), r.incidents.num_groups());
+}
+
+TEST(FlatResultTest, MergedEqualsFlatteningTheUnion) {
+  QueryResult old;
+  old.parsed = Pattern::atom("a");
+  old.executed = old.parsed;
+  old.eval_us = 42;
+  old.incidents = incident_set({{1, {{1, 3}, {2, 3}}}, {3, {{1, 2}}}});
+  const FlatResult cached = FlatResult::from(old);
+
+  // The delta lands in the middle of wid 1's group ({1,4} sorts between
+  // {1,3} and {2,3}) and at its end, in wid 2 (absent, between two cached
+  // groups), in wid 4 (after every group), and on {1,2} of wid 3, which
+  // is already cached. It arrives unsorted and with a repeat.
+  const IncidentSet fresh = incident_set(
+      {{4, {{1, 2}}}, {1, {{2, 4}, {1, 4}}}, {3, {{1, 2}}}, {2, {{5, 6}}}});
+  std::vector<const Incident*> delta;
+  for (const IncidentSet::Group& g : fresh.groups()) {
+    for (const Incident& o : g.incidents) delta.push_back(&o);
+  }
+  delta.push_back(delta.front());
+  std::reverse(delta.begin(), delta.end());
+
+  QueryResult expect;
+  expect.incidents =
+      incident_set({{1, {{1, 3}, {1, 4}, {2, 3}, {2, 4}}},
+                    {2, {{5, 6}}},
+                    {3, {{1, 2}}},
+                    {4, {{1, 2}}}});
+  const FlatResult merged = FlatResult::merged(cached, delta);
+  expect_same_incidents(merged, FlatResult::from(expect));
+  EXPECT_EQ(merged.pattern, cached.pattern);
+  EXPECT_EQ(merged.eval_us, cached.eval_us);
+
+  // An empty delta is a copy; a delta of cached incidents changes nothing.
+  expect_same_incidents(FlatResult::merged(cached, {}), cached);
+  std::vector<const Incident*> repeats;
+  for (const IncidentSet::Group& g : old.incidents.groups()) {
+    for (const Incident& o : g.incidents) repeats.push_back(&o);
+  }
+  expect_same_incidents(FlatResult::merged(cached, repeats), cached);
 }
 
 // ----- differential suite: cache on vs cache off --------------------------
@@ -434,6 +575,97 @@ TEST(CacheDifferentialTest, NoCacheHeaderBypassesLookupButStillStores) {
   EXPECT_EQ(*bypass.header("x-wfq-cache"), "miss");
   const server::ClientResponse warm = c.post("/query", body);
   EXPECT_EQ(*warm.header("x-wfq-cache"), "hit");
+}
+
+// ----- hits render from the flat entry ------------------------------------
+// Each hit below is compared byte for byte (timings and batch stats
+// stripped) with a Cache-Control: no-cache evaluation of the same request
+// on the same server.
+
+const server::HttpClient::Headers& no_cache_header() {
+  static const server::HttpClient::Headers h = {{"cache-control", "no-cache"}};
+  return h;
+}
+
+TEST(CacheFlatRenderTest, TruncatedRenderOfAHitMatchesAFreshEvaluation) {
+  TestServer on(dual_log(), cached_options());
+  server::HttpClient c = on.client();
+  const std::string body = R"({"query": "b | c", "limit": 3})";
+  ASSERT_EQ(c.post("/query", body).status, 200);  // populates
+  const server::ClientResponse hit = c.post("/query", body);
+  ASSERT_NE(hit.header("x-wfq-cache"), nullptr);
+  EXPECT_EQ(*hit.header("x-wfq-cache"), "hit");
+  const server::JsonValue v = server::parse_json(hit.body);
+  EXPECT_TRUE(v.find("render_truncated")->as_bool());
+  EXPECT_EQ(v.find("rendered")->as_int(), 3);
+  EXPECT_GT(v.find("total")->as_int(), 3);
+  const server::ClientResponse fresh =
+      c.post("/query", body, "application/json", no_cache_header());
+  EXPECT_EQ(*fresh.header("x-wfq-cache"), "miss");
+  EXPECT_EQ(normalized(hit.body), normalized(fresh.body));
+}
+
+/// The chunks of a streamed /query, each normalized (the tail's timings).
+std::vector<std::string> stream_chunks(
+    server::HttpClient& c, const std::string& body,
+    const server::HttpClient::Headers& extra, std::string* cache_header) {
+  std::vector<std::string> chunks;
+  const server::ClientResponse head = c.stream(
+      "POST", "/query", body,
+      [&](std::string_view chunk) {
+        chunks.push_back(normalized(std::string(chunk)));
+        return true;
+      },
+      extra);
+  EXPECT_EQ(head.status, 200);
+  if (head.header("x-wfq-cache") != nullptr) {
+    *cache_header = *head.header("x-wfq-cache");
+  }
+  return chunks;
+}
+
+TEST(CacheFlatRenderTest, StreamedHitMatchesAFreshEvaluation) {
+  TestServer on(dual_log(), cached_options());
+  server::HttpClient c = on.client();
+  // Populated by one spelling, streamed by another: the hit re-echoes
+  // this request's pattern text.
+  ASSERT_EQ(c.post("/query", R"({"query": "b | c"})").status, 200);
+  for (const char* body :
+       {R"({"query": "c | b", "stream": true})",
+        R"({"query": "c | b", "stream": true, "limit": 3})"}) {
+    std::string hit_header;
+    std::string fresh_header;
+    const std::vector<std::string> hit =
+        stream_chunks(c, body, {}, &hit_header);
+    const std::vector<std::string> fresh =
+        stream_chunks(c, body, no_cache_header(), &fresh_header);
+    EXPECT_EQ(hit_header, "hit") << body;
+    EXPECT_EQ(fresh_header, "miss") << body;
+    ASSERT_GE(hit.size(), 3u) << body;  // head, a group, tail
+    EXPECT_EQ(hit, fresh) << body;
+  }
+}
+
+TEST(CacheFlatRenderTest, BatchOfHitsMissesAndAnErrorMatchesAFreshBatch) {
+  TestServer on(dual_log(), cached_options());
+  server::HttpClient c = on.client();
+  ASSERT_EQ(c.post("/query", R"({"query": "a -> b"})").status, 200);
+  ASSERT_EQ(c.post("/query", R"({"query": "a & d"})").status, 200);
+
+  const std::string batch = R"j({"queries": ["a -> (b)", "b | c",
+      "this does not parse ((", "d & a", "!b"], "limit": 2})j";
+  const server::ClientResponse mixed = c.post("/batch", batch);
+  ASSERT_EQ(mixed.status, 200);
+  EXPECT_EQ(*mixed.header("x-wfq-cache"), "miss");  // not every slot hit
+  const server::JsonValue v = server::parse_json(mixed.body);
+  EXPECT_EQ(v.find("stats")->find("result_cache_hits")->as_int(), 2);
+  EXPECT_EQ(v.find("stats")->find("result_cache_misses")->as_int(), 2);
+  ASSERT_NE(v.find("results")->as_array()[2].find("error"), nullptr);
+
+  const server::ClientResponse fresh =
+      c.post("/batch", batch, "application/json", no_cache_header());
+  ASSERT_EQ(fresh.status, 200);
+  EXPECT_EQ(normalized(mixed.body), normalized(fresh.body));
 }
 
 TEST(CacheStatsTest, StatsEndpointExposesCacheCounters) {

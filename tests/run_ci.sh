@@ -1,9 +1,9 @@
 #!/usr/bin/env sh
 # The CI gate, as one command: one ctest pass per build flavour — plain
 # (build/), ASan+UBSan (tests/run_sanitized.sh) and ThreadSanitizer over
-# the concurrent suites — plus the smokes. Label subsets are not re-run:
-# every plain and ASan pass already runs every test. Any failure stops
-# the script with a nonzero exit.
+# the concurrent suites — plus the smokes and the benchmark's self-test.
+# Label subsets are not re-run: every plain and ASan pass already runs
+# every test. Any failure stops the script with a nonzero exit.
 #
 # Usage: tests/run_ci.sh [ctest args...]   (extra args go to every ctest run)
 set -eu
@@ -36,6 +36,12 @@ echo "== tier 1j: bench_store v1-vs-v2 smoke (compression + pruned scan) =="
 "$repo/build/bench/bench_store" \
   --benchmark_filter='BM_StoreClinic.*/1000$' \
   --benchmark_min_time=0.01
+
+# wfbench builds its own Release tree under .bench_build/ and runs every
+# workload at a tiny size against a real wfqd: a change that breaks a
+# workload (a wrong answer, a crash, a missing metric) fails here.
+echo "== tier 1k: benchmark self-test (wfbench/smoke.py) =="
+(cd "$repo" && python3 wfbench/smoke.py)
 
 echo "== tier 2: AddressSanitizer + UBSan (build-sanitize/) =="
 "$repo/tests/run_sanitized.sh" --timeout "$timeout" "$@"

@@ -637,5 +637,124 @@ TEST(SubscribeTest, CacheRepairServesByteIdenticalHits) {
   EXPECT_GE(stats_subscriptions(ca).find("cache_repairs")->as_int(), 3);
 }
 
+/// A response body minus its wall-clock "timings" blocks (top level and
+/// per /batch slot) and the /batch "stats" block, re-serialized.
+std::string without_timings(const std::string& body) {
+  server::JsonValue v = server::parse_json(body);
+  auto strip = [](server::JsonValue& obj) {
+    auto& m = obj.members();
+    for (auto it = m.begin(); it != m.end();) {
+      it = it->first == "timings" || it->first == "stats" ? m.erase(it)
+                                                           : std::next(it);
+    }
+  };
+  strip(v);
+  if (auto* results = const_cast<server::JsonValue*>(v.find("results"))) {
+    for (server::JsonValue& slot : results->as_array()) strip(slot);
+  }
+  return v.dump();
+}
+
+/// POST /ingest of records appended to the open instance `wid`.
+void append_records(server::HttpClient& c, std::int64_t wid,
+                    const std::vector<std::string>& activities) {
+  std::string body = R"({"events": [)";
+  for (std::size_t i = 0; i < activities.size(); ++i) {
+    if (i > 0) body += ',';
+    body += R"({"op": "record", "wid": )" + std::to_string(wid) +
+            R"(, "activity": ")" + activities[i] + "\"}";
+  }
+  body += "]}";
+  const server::ClientResponse r = c.post("/ingest", body);
+  ASSERT_EQ(r.status, 200) << r.body;
+}
+
+TEST(SubscribeTest, CacheRepairMergesIntoNewAndExistingGroups) {
+  server::ServiceOptions cached;
+  cached.cache_bytes = 1 << 20;
+  TestServer ts(std::nullopt, cached);
+  server::HttpClient c = ts.client();
+  const server::HttpClient::Headers no_cache = {
+      {"cache-control", "no-cache"}};
+
+  // wid 1 holds a, a, b (incidents {a1,b} and {a2,b}); wid 2 holds only
+  // c; wid 3 holds a, b. All three stay open.
+  const std::int64_t w1 = ingest_instance(c, {"a", "a", "b"}, false);
+  const std::int64_t w2 = ingest_instance(c, {"c"}, false);
+  ingest_instance(c, {"a", "b"}, false);
+  const std::string q = R"({"query": "a -> b"})";
+  ASSERT_EQ(c.post("/query", q).status, 200);  // populate the cache
+  subscribe(c, "a -> b");
+
+  const auto expect_hit_equals_fresh = [&](const char* step) {
+    const server::ClientResponse hit = c.post("/query", q);
+    ASSERT_EQ(hit.status, 200) << step;
+    ASSERT_NE(hit.header("x-wfq-cache"), nullptr) << step;
+    EXPECT_EQ(*hit.header("x-wfq-cache"), "hit") << step;
+    const server::ClientResponse fresh =
+        c.post("/query", q, "application/json", no_cache);
+    ASSERT_EQ(fresh.status, 200) << step;
+    EXPECT_EQ(*fresh.header("x-wfq-cache"), "miss") << step;
+    EXPECT_EQ(without_timings(hit.body), without_timings(fresh.body))
+        << step;
+  };
+
+  // A second b in wid 1: {a1,b2} sorts between {a1,b1} and {a2,b1}.
+  append_records(c, w1, {"b"});
+  expect_hit_equals_fresh("middle of an existing group");
+  // wid 2's first incidents: a group between the cached wids 1 and 3.
+  append_records(c, w2, {"a", "b"});
+  expect_hit_equals_fresh("wid absent from the old entry");
+  // Both at once, plus a brand-new instance after every cached wid.
+  append_records(c, w1, {"b"});
+  ingest_instance(c, {"a", "x", "b"});
+  expect_hit_equals_fresh("mixed delta");
+}
+
+TEST(SubscribeTest, IngestPurgesEntriesOfOlderVersions) {
+  server::ServiceOptions cached;
+  cached.cache_bytes = 1 << 20;
+  TestServer on(std::nullopt, cached);
+  TestServer off(std::nullopt);
+  server::HttpClient c_on = on.client();
+  server::HttpClient c_off = off.client();
+  ingest_instance(c_on, {"a", "b", "c"});
+  ingest_instance(c_off, {"a", "b", "c"});
+  ASSERT_EQ(c_on.post("/query", R"({"query": "a -> b"})").status, 200);
+  subscribe(c_on, "a -> b");
+
+  const auto cache_stats = [&] {
+    return *server::parse_json(c_on.get("/stats").body).find("cache");
+  };
+  const std::vector<std::string> queries = {
+      R"({"query": "a -> b"})", R"({"query": "b | c"})",
+      R"({"query": "a . b"})"};
+  std::int64_t repairs = 0;
+  for (const auto& acts : std::vector<std::vector<std::string>>{
+           {"a", "b"}, {"c", "b"}, {"b", "a", "b"}, {"a"}}) {
+    ingest_instance(c_on, acts);
+    ingest_instance(c_off, acts);
+    // Only the repaired subscribed entry survives the ingests.
+    EXPECT_EQ(cache_stats().find("entries")->as_int(), 1);
+    const std::int64_t now =
+        stats_subscriptions(c_on).find("cache_repairs")->as_int();
+    EXPECT_GT(now, repairs);
+    repairs = now;
+
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const std::string& q : queries) {
+        const server::ClientResponse a = c_off.post("/query", q);
+        const server::ClientResponse b = c_on.post("/query", q);
+        ASSERT_EQ(a.status, 200);
+        ASSERT_EQ(b.status, 200);
+        EXPECT_EQ(without_timings(a.body), without_timings(b.body)) << q;
+      }
+    }
+    EXPECT_EQ(cache_stats().find("entries")->as_int(),
+              static_cast<std::int64_t>(queries.size()));
+  }
+  EXPECT_GT(cache_stats().find("purged")->as_int(), 0);
+}
+
 }  // namespace
 }  // namespace wflog
