@@ -1,10 +1,18 @@
 // Extension bench — continuous monitoring (core/monitor.h): event
-// throughput as a function of registered-query count and pattern shape,
-// and the latency comparison the module exists for: incremental delta
-// propagation vs re-running batch evaluation after every record.
-// Expected shape: per-event cost grows with query count; incremental
-// processing of a whole log costs about one batch evaluation, while
-// re-evaluate-per-record costs ~records × batch.
+// throughput as a function of registered-query count, and what the
+// monitor's lazy re-evaluation costs next to the alternatives.
+//
+// The monitor re-evaluates each instance that grew since the last drain,
+// once per query. Per event, that costs about the length of the grown
+// instances, so the rows cover the shapes that matter:
+//   * Replay / Small: a whole clinic feed, drained once at the end;
+//     ReevaluatePerRecordSmall is the naive alternative (a whole-log batch
+//     evaluation after every record).
+//   * LongInstance: ONE instance of n records under `a -> b`, drained
+//     after every record (re-evaluation is quadratic in n here) or once.
+//   * WfqdShaped: what wfqd does — a 25k-record procurement history, one
+//     standing query registered late, then 8-event ingests, each drained.
+//   * LateQueryBackfill: registering that query over the same history.
 
 #include <benchmark/benchmark.h>
 
@@ -13,6 +21,7 @@
 #include "core/engine.h"
 #include "core/monitor.h"
 #include "workflow/clinic.h"
+#include "workflow/procurement.h"
 
 namespace {
 
@@ -23,7 +32,7 @@ const Log& feed_log() {
   return log;
 }
 
-/// Replays `log` through a monitor carrying `nqueries` rules.
+/// Feeds every event of `log` to `monitor`, in lsn order.
 void replay(LogMonitor& monitor, const Log& log) {
   std::map<Wid, Wid> wid_map;
   for (const LogRecord& l : log) {
@@ -35,6 +44,14 @@ void replay(LogMonitor& monitor, const Log& log) {
       monitor.record(wid_map.at(l.wid), log.activity_name(l.activity));
     }
   }
+}
+
+/// Reports the mean wall time per monitor event next to the per-iteration
+/// time.
+void per_event(benchmark::State& state, double events_per_iteration) {
+  state.counters["s_per_event"] = benchmark::Counter(
+      events_per_iteration, benchmark::Counter::kIsIterationInvariantRate |
+                                benchmark::Counter::kInvert);
 }
 
 const char* kRules[] = {
@@ -63,6 +80,7 @@ void BM_MonitorReplay(benchmark::State& state) {
   }
   state.counters["events"] = static_cast<double>(log.size());
   state.counters["queries"] = static_cast<double>(nqueries);
+  per_event(state, static_cast<double>(log.size()));
 }
 
 // Honest per-record re-evaluation on a small feed (quadratic by design).
@@ -84,7 +102,7 @@ void BM_ReevaluatePerRecordSmall(benchmark::State& state) {
   }
 }
 
-// Incremental equivalent of the small variant, for the head-to-head.
+// The monitor on the same small feed, for the head-to-head.
 void BM_MonitorSmall(benchmark::State& state) {
   const Log small = clinic_log(10, 0x70);
   for (auto _ : state) {
@@ -97,8 +115,107 @@ void BM_MonitorSmall(benchmark::State& state) {
   }
 }
 
+// One instance of range(0) records cycling through ten activities, a to j,
+// under `a -> b`; range(1) = 1 drains after every record, 0 drains once at
+// the end.
+void BM_MonitorLongInstance(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const bool drain_per_record = state.range(1) != 0;
+  const char* kCycle[] = {"a", "b", "c", "d", "e", "f", "g", "h", "i", "j"};
+  std::size_t matches = 0;
+  for (auto _ : state) {
+    MonitorOptions opts;
+    opts.keep_records = false;
+    LogMonitor monitor(opts);
+    monitor.add_query("a -> b");
+    const Wid w = monitor.begin_instance();
+    matches = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      monitor.record(w, kCycle[i % std::size(kCycle)]);
+      if (drain_per_record) matches += monitor.drain().size();
+    }
+    matches += monitor.drain().size();
+  }
+  state.counters["matches"] = static_cast<double>(matches);
+  per_event(state, static_cast<double>(n));
+}
+
+/// Walks a procurement feed's events in lsn order, forever: each pass
+/// begins fresh instances.
+class ProcurementFeed {
+ public:
+  explicit ProcurementFeed(std::uint64_t seed)
+      : log_(procurement_log(200, seed)) {}
+
+  void next(LogMonitor& monitor) {
+    if (pos_ == log_.size()) {
+      pos_ = 0;
+      wid_map_.clear();
+    }
+    const LogRecord& l = log_.records()[pos_++];
+    if (l.activity == log_.start_symbol()) {
+      wid_map_[l.wid] = monitor.begin_instance();
+    } else if (l.activity == log_.end_symbol()) {
+      monitor.end_instance(wid_map_.at(l.wid));
+    } else {
+      monitor.record(wid_map_.at(l.wid), log_.activity_name(l.activity));
+    }
+  }
+
+ private:
+  Log log_;
+  std::size_t pos_ = 0;
+  std::map<Wid, Wid> wid_map_;
+};
+
+/// wfqd's standing query in the benchmark's `monitor` workload.
+constexpr const char* kStandingQuery = "ReceiveInvoice -> ReceiveGoods";
+
+/// A monitor holding wfqd's ~25k-record procurement history.
+void seed_history(LogMonitor& monitor) {
+  static const Log history = procurement_log(2000, 0xBEEF);
+  replay(monitor, history);
+}
+
+void BM_MonitorWfqdShaped(benchmark::State& state) {
+  constexpr std::size_t kEventsPerIngest = 8;
+  LogMonitor monitor;
+  seed_history(monitor);
+  const auto history = static_cast<double>(monitor.num_records());
+  monitor.add_query(kStandingQuery);
+  benchmark::DoNotOptimize(monitor.drain());
+  ProcurementFeed feed(0x5EED);
+  std::size_t matches = 0;
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < kEventsPerIngest; ++i) feed.next(monitor);
+    matches += monitor.drain().size();
+  }
+  state.counters["history"] = history;
+  state.counters["matches"] = static_cast<double>(matches);
+  per_event(state, static_cast<double>(kEventsPerIngest));
+}
+
+void BM_MonitorLateQueryBackfill(benchmark::State& state) {
+  LogMonitor monitor;
+  seed_history(monitor);
+  for (auto _ : state) {
+    const LogMonitor::QueryId id = monitor.add_query(kStandingQuery);
+    benchmark::DoNotOptimize(monitor.drain());
+    monitor.remove_query(id);
+  }
+  state.counters["history"] = static_cast<double>(monitor.num_records());
+}
+
 BENCHMARK(BM_MonitorReplay)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 BENCHMARK(BM_ReevaluatePerRecordSmall);
 BENCHMARK(BM_MonitorSmall);
+BENCHMARK(BM_MonitorLongInstance)
+    ->Args({1000, 1})
+    ->Args({1000, 0})
+    ->Args({3000, 1})
+    ->Args({3000, 0})
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MonitorWfqdShaped);
+BENCHMARK(BM_MonitorLateQueryBackfill)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -4,17 +4,16 @@
 
 #include "common/error.h"
 #include "core/parser.h"
+#include "log/index.h"
 #include "obs/telemetry.h"
 
 namespace wflog {
 namespace {
 
-/// Inserts `o` into the canonical list `list` if absent; true if inserted.
-bool insert_unique(IncidentList& list, Incident o) {
-  auto it = std::lower_bound(list.begin(), list.end(), o);
-  if (it != list.end() && *it == o) return false;
-  list.insert(it, std::move(o));
-  return true;
+EvalOptions eval_options(const MonitorOptions& options) {
+  EvalOptions eo;
+  eo.negation_matches_sentinels = options.negation_matches_sentinels;
+  return eo;
 }
 
 }  // namespace
@@ -24,19 +23,29 @@ LogMonitor::LogMonitor(MonitorOptions options) : options_(options) {
   end_sym_ = interner_.intern(kEndActivity);
 }
 
-std::size_t LogMonitor::compile_node(const Pattern& p, CompiledQuery& q) {
-  CompiledNode node;
-  node.op = p.op();
-  if (p.is_atom()) {
-    node.activity = interner_.intern(p.activity());
-    node.negated = p.negated();
-    node.predicate = p.predicate();
-  } else {
-    node.left = compile_node(*p.left(), q);
-    node.right = compile_node(*p.right(), q);
+LogMonitor::LogMonitor(const Log& log, MonitorOptions options)
+    : options_(std::move(options)), interner_(log.interner()) {
+  start_sym_ = interner_.intern(kStartActivity);
+  end_sym_ = interner_.intern(kEndActivity);
+  for (const LogRecord& l : log) {
+    if (l.activity == start_sym_) {
+      const Wid next = static_cast<Wid>(next_is_lsn_.size() + 1);
+      if (l.wid != next) {
+        throw Error("initial log wid " + std::to_string(l.wid) +
+                    " is not the monitor's next wid " + std::to_string(next));
+      }
+    }
+    next_is_lsn_[l.wid] = l.activity == end_sym_ ? 0 : l.is_lsn + 1;
   }
-  q.nodes.push_back(std::move(node));
-  return q.nodes.size() - 1;
+  next_wid_ = static_cast<Wid>(next_is_lsn_.size() + 1);
+  num_records_ = log.size();
+  if (options_.keep_records) records_.assign(log.begin(), log.end());
+  WFLOG_TELEMETRY(t) {
+    t->monitor_records_total->add(num_records_);
+    t->monitor_open_instances->add(static_cast<double>(
+        std::count_if(next_is_lsn_.begin(), next_is_lsn_.end(),
+                      [](const auto& e) { return e.second != 0; })));
+  }
 }
 
 LogMonitor::QueryId LogMonitor::add_query(std::string_view pattern_text,
@@ -47,19 +56,42 @@ LogMonitor::QueryId LogMonitor::add_query(std::string_view pattern_text,
 LogMonitor::QueryId LogMonitor::add_query(PatternPtr pattern,
                                           const EvalGuard* guard) {
   WFLOG_SPAN(span, "monitor.add_query");
-  CompiledQuery q;
-  q.id = next_query_id_++;
-  q.pattern = std::move(pattern);
-  compile_node(*q.pattern, q);
-  queries_.push_back(std::move(q));
-  const QueryId id = queries_.back().id;
-  match_totals_.emplace(id, 0);
-  try {
-    backfill(queries_.back(), guard);
-  } catch (...) {
-    remove_query(id);  // leave the monitor exactly as before the call
-    throw;
+  // Earlier appends are evaluated for the registered queries only.
+  flush();
+  std::vector<Found> history;
+  if (num_records_ > 0) {
+    if (!options_.keep_records) {
+      throw Error(
+          "LogMonitor: adding a query after events requires keep_records");
+    }
+    const Log log = Log::from_records_unchecked(records_, interner_);
+    const LogIndex index(log);
+    const Evaluator ev(index, eval_options(options_));
+    const IncidentSet found = ev.evaluate(*pattern, nullptr, guard);
+    if (guard != nullptr && guard->stopped()) {
+      throw Error(std::string("LogMonitor: backfill stopped (") +
+                  stop_reason_name(guard->reason()) + ")");
+    }
+    for (const IncidentSet::Group& g : found.groups()) {
+      for (const Incident& o : g.incidents) {
+        history.push_back(
+            Found{index.find(g.wid, o.last())->lsn, queries_.size(), o});
+      }
+    }
+    if (queries_.empty()) {
+      // Open instances can still grow new matches: start tracking them.
+      for (const LogRecord& l : records_) {
+        if (next_is_lsn_.at(l.wid) == 0) continue;
+        LiveInstance& live = live_[l.wid];
+        live.records.push_back(l);
+        live.flushed = live.records.size();
+      }
+    }
   }
+  const QueryId id = next_query_id_++;
+  queries_.push_back(Query{id, std::move(pattern)});
+  match_totals_.emplace(id, 0);
+  report(std::move(history));
   WFLOG_TELEMETRY(t) {
     t->monitor_queries->set(static_cast<double>(queries_.size()));
   }
@@ -70,55 +102,18 @@ LogMonitor::QueryId LogMonitor::add_query(PatternPtr pattern,
 }
 
 void LogMonitor::remove_query(QueryId id) {
-  queries_.erase(std::remove_if(queries_.begin(), queries_.end(),
-                                [id](const CompiledQuery& q) {
-                                  return q.id == id;
-                                }),
-                 queries_.end());
-  state_.erase(id);
+  flush();
+  std::erase_if(queries_, [id](const Query& q) { return q.id == id; });
   match_totals_.erase(id);
   // Undelivered matches must not surface for an id that no longer exists.
-  matches_.erase(std::remove_if(matches_.begin(), matches_.end(),
-                                [id](const Match& m) {
-                                  return m.query == id;
-                                }),
-                 matches_.end());
+  std::erase_if(matches_, [id](const Match& m) { return m.query == id; });
+  if (queries_.empty()) live_.clear();
   WFLOG_TELEMETRY(t) {
     t->monitor_queries->set(static_cast<double>(queries_.size()));
   }
 }
 
-void LogMonitor::backfill(CompiledQuery& q, const EvalGuard* guard) {
-  if (num_records_ == 0) return;
-  if (!options_.keep_records) {
-    throw Error(
-        "LogMonitor: adding a query after events requires keep_records");
-  }
-  // Replay retained history so the new query's results are indistinguishable
-  // from having been registered up front (its historical matches are
-  // reported now, in log order).
-  for (const LogRecord& l : records_) {
-    if (guard != nullptr && guard->check()) {
-      throw Error(std::string("LogMonitor: backfill stopped (") +
-                  stop_reason_name(guard->reason()) + ")");
-    }
-    const std::size_t before = matches_.size();
-    feed(q, l);
-    if (guard != nullptr && matches_.size() > before) {
-      guard->add_incidents(matches_.size() - before);
-    }
-  }
-  // Completed instances produce no further matches; drop their state.
-  auto& per_wid = state_[q.id];
-  for (auto it = per_wid.begin(); it != per_wid.end();) {
-    const auto open = next_is_lsn_.find(it->first);
-    const bool is_open = open != next_is_lsn_.end() && open->second != 0;
-    it = is_open ? std::next(it) : per_wid.erase(it);
-  }
-}
-
 Wid LogMonitor::begin_instance() {
-  // next_is_lsn_ entries: absent = never used, 0 = completed, >= 1 = open.
   while (next_is_lsn_.contains(next_wid_)) ++next_wid_;
   const Wid wid = next_wid_;
   next_is_lsn_.emplace(wid, 1);
@@ -161,12 +156,8 @@ void LogMonitor::end_instance(Wid wid) {
     return;
   }
   append_record(wid, end_sym_, {}, {});
-  it->second = 0;  // completed
+  it->second = 0;  // completed; the next flush releases its records
   WFLOG_TELEMETRY(t) { t->monitor_open_instances->add(-1.0); }
-  // A completed instance can produce no further matches: drop its state.
-  for (auto& [query_id, per_wid] : state_) {
-    per_wid.erase(wid);
-  }
 }
 
 void LogMonitor::note_bad_event(Wid wid, std::string_view activity,
@@ -208,111 +199,67 @@ void LogMonitor::append_record(Wid wid, Symbol activity, AttrMap in,
   ++num_records_;
   WFLOG_TELEMETRY(t) { t->monitor_records_total->inc(); }
 
-  for (CompiledQuery& q : queries_) {
-    feed(q, l);
+  if (!queries_.empty()) {
+    LiveInstance& live = live_[wid];
+    if (live.flushed == live.records.size()) touched_.push_back(wid);
+    live.records.push_back(l);
   }
   if (options_.keep_records) records_.push_back(std::move(l));
 }
 
-void LogMonitor::feed(CompiledQuery& q, const LogRecord& l) {
-  InstanceState& st = state_[q.id][l.wid];
-  if (st.full.empty()) st.full.resize(q.nodes.size());
+void LogMonitor::flush() const {
+  if (touched_.empty()) return;
+  std::vector<LogRecord> records;
+  for (const Wid wid : touched_) {
+    const std::vector<LogRecord>& r = live_.at(wid).records;
+    records.insert(records.end(), r.begin(), r.end());
+  }
+  const Log log = Log::from_records_unchecked(std::move(records), interner_);
+  const LogIndex index(log);
+  const Evaluator ev(index, eval_options(options_));
 
-  // Per-node delta lists for this record; all new incidents end at l.is_lsn.
-  std::vector<IncidentList> delta(q.nodes.size());
-
-  for (std::size_t i = 0; i < q.nodes.size(); ++i) {
-    const CompiledNode& node = q.nodes[i];
-    IncidentList& d = delta[i];
-
-    switch (node.op) {
-      case PatternOp::kAtom: {
-        bool hit = node.negated ? l.activity != node.activity
-                                : l.activity == node.activity;
-        if (hit && node.negated && !options_.negation_matches_sentinels) {
-          hit = l.activity != start_sym_ && l.activity != end_sym_;
-        }
-        if (hit && node.predicate != nullptr) {
-          hit = node.predicate->eval(l, interner_);
-        }
-        if (hit) d.push_back(Incident::singleton(l.wid, l.is_lsn));
-        break;
-      }
-      case PatternOp::kConsecutive:
-      case PatternOp::kSequential: {
-        // New right incidents (ending at n) joined with ALL left incidents
-        // known so far (old ∪ delta-left: a delta-left incident also ends
-        // at n and can never precede a right incident ending at n, so only
-        // the old ones matter).
-        const bool cons = node.op == PatternOp::kConsecutive;
-        for (const Incident& r : delta[node.right]) {
-          for (const Incident& lft : st.full[node.left]) {
-            const bool ok = cons ? lft.last() + 1 == r.first()
-                                 : lft.last() < r.first();
-            if (ok) d.push_back(Incident::merged(lft, r));
-          }
-        }
-        canonicalize(d);
-        break;
-      }
-      case PatternOp::kChoice: {
-        // Every delta incident contains the brand-new position, so deltas
-        // can never duplicate history (whose incidents end earlier); only
-        // the two sides' deltas can coincide, which canonicalize removes.
-        d = delta[node.left];
-        d.insert(d.end(), delta[node.right].begin(),
-                 delta[node.right].end());
-        canonicalize(d);
-        break;
-      }
-      case PatternOp::kParallel: {
-        for (const Incident& a : delta[node.left]) {
-          for (const Incident& b : st.full[node.right]) {
-            if (Incident::disjoint(a, b)) {
-              d.push_back(Incident::merged(a, b));
-            }
-          }
-        }
-        for (const Incident& b : delta[node.right]) {
-          for (const Incident& a : st.full[node.left]) {
-            if (Incident::disjoint(a, b)) {
-              d.push_back(Incident::merged(a, b));
-            }
-          }
-          for (const Incident& a : delta[node.left]) {
-            if (Incident::disjoint(a, b)) {
-              d.push_back(Incident::merged(a, b));
-            }
-          }
-        }
-        canonicalize(d);
-        break;
+  std::vector<Found> found;
+  for (const Wid wid : touched_) {
+    const auto live = live_.find(wid);
+    const std::size_t flushed = live->second.flushed;
+    for (std::size_t q = 0; q < queries_.size(); ++q) {
+      for (Incident& o : ev.evaluate_instance(*queries_[q].pattern, wid)) {
+        if (o.last() <= flushed) continue;  // reported by an earlier flush
+        const Lsn lsn = index.find(wid, o.last())->lsn;
+        found.push_back(Found{lsn, q, std::move(o)});
       }
     }
+    live->second.flushed = live->second.records.size();
+    if (next_is_lsn_.at(wid) == 0) live_.erase(live);  // completed
   }
+  touched_.clear();
+  report(std::move(found));
+}
 
-  // Commit deltas to node state and report root matches, suppressing any
-  // duplicate the root may have produced before (set semantics).
-  const std::size_t root = q.nodes.size() - 1;
-  for (std::size_t i = 0; i < q.nodes.size(); ++i) {
-    for (Incident& o : delta[i]) {
-      const bool fresh = insert_unique(st.full[i], o);
-      if (fresh && i == root) {
-        matches_.push_back(Match{q.id, o});
-        ++match_totals_[q.id];
-        WFLOG_TELEMETRY(t) { t->monitor_matches_total->inc(); }
-      }
-    }
+void LogMonitor::report(std::vector<Found> found) const {
+  // Each (instance, query) run is already canonical; a stable sort keeps
+  // that order among matches completed by the same record.
+  std::stable_sort(found.begin(), found.end(),
+                   [](const Found& a, const Found& b) {
+                     return a.lsn != b.lsn ? a.lsn < b.lsn : a.query < b.query;
+                   });
+  for (Found& f : found) {
+    const QueryId id = queries_[f.query].id;
+    matches_.push_back(Match{id, std::move(f.incident)});
+    ++match_totals_[id];
   }
+  WFLOG_TELEMETRY(t) { t->monitor_matches_total->add(found.size()); }
 }
 
 std::vector<LogMonitor::Match> LogMonitor::drain() {
+  flush();
   std::vector<Match> out;
   out.swap(matches_);
   return out;
 }
 
 std::vector<LogMonitor::Match> LogMonitor::drain(QueryId id) {
+  flush();
   std::vector<Match> out;
   std::vector<Match> rest;
   rest.reserve(matches_.size());
@@ -325,16 +272,13 @@ std::vector<LogMonitor::Match> LogMonitor::drain(QueryId id) {
 
 LogMonitor::MemoryStats LogMonitor::memory_stats() const noexcept {
   MemoryStats s;
-  s.state_queries = state_.size();
-  for (const auto& [id, per_wid] : state_) {
-    s.state_instances += per_wid.size();
-  }
   s.tracked_totals = match_totals_.size();
   s.pending_matches = matches_.size();
   return s;
 }
 
 std::size_t LogMonitor::total_matches(QueryId id) const {
+  flush();
   auto it = match_totals_.find(id);
   return it == match_totals_.end() ? 0 : it->second;
 }

@@ -7,23 +7,29 @@
 // log while analysts query it; its related-work discussion singles out
 // runtime monitoring (BP-Mon) as something warehouse pipelines do poorly.
 // LogMonitor closes that loop: register patterns once, feed workflow events
-// as they happen, and receive each NEW incident exactly once, the moment
-// its last record arrives.
+// as they happen, and receive each NEW incident exactly once, at the first
+// drain after its last record arrives.
 //
-// Algorithm. For every (query, instance) pair the monitor keeps, per
-// pattern node, the full incident list computed so far. When a record at
-// position n arrives, new incidents are propagated bottom-up as DELTAS:
-// every new incident contains position n, hence has last() == n, so
+// Algorithm. Definition 4 keeps every incident inside one workflow
+// instance, and an incident depends only on the records at its own
+// positions. Appending records to an instance therefore never removes an
+// incident, and every new incident contains a new record. So the new
+// matches of a query are exactly the incidents the engine's Evaluator
+// finds in the instances appended to, minus those that end at or before
+// each instance's length at the previous evaluation.
 //
-//   ⊙ / ≫ : delta = old-left × delta-right (a new left incident ends at n
-//           and can never precede an existing right incident);
-//   ⊗     : delta = delta-left ∪ delta-right (minus already-known ones);
-//   ⊕     : delta = delta-left × old-right ∪ old-left × delta-right
-//           ∪ delta-left × delta-right, disjoint pairs only.
+// The monitor applies this lazily. Appends only note which instances
+// grew; drain(), matches() and total_matches() first evaluate each grown
+// instance once per query, over a throwaway Log of just those instances,
+// and queue the new matches ordered by the lsn of their completing
+// record, then query registration order, then canonical order. That is
+// the order in which the matches became complete, so it does not depend
+// on how often the caller drains. A late add_query evaluates the
+// retained history once and reports its matches in the same order.
 //
-// Root deltas are the freshly completed matches. The total work to process
-// a whole log equals one batch evaluation (amortized); the win is latency —
-// matches surface immediately — plus exactly-once delivery.
+// Draining after every record re-evaluates the whole grown instance each
+// time: cheap for the short instances of real workflows, quadratic for a
+// single instance of thousands of records (EXPERIMENTS.md, E13).
 
 #include <deque>
 #include <functional>
@@ -83,23 +89,29 @@ class LogMonitor {
   };
 
   explicit LogMonitor(MonitorOptions options = {});
+  /// Starts from an existing log as if its events had been fed in lsn
+  /// order: copies its records (under keep_records) and its interner, and
+  /// restores each instance's open or completed state. begin_instance()
+  /// continues the wid sequence, so the log's wids must be 1..N in START
+  /// order; otherwise throws Error.
+  explicit LogMonitor(const Log& log, MonitorOptions options = {});
 
   // ----- query management ----------------------------------------------
-  /// Registers a pattern. Retained history is replayed first (requires
+  /// Registers a pattern. Retained history is evaluated first (requires
   /// keep_records when events were already fed), so results are identical
   /// to having registered the query before the first event; historical
-  /// matches are reported immediately, in log order.
+  /// matches are reported immediately, in the order they became complete.
   ///
-  /// A non-null `guard` bounds the backfill replay (deadline / incident
-  /// budget / cancellation). When the guard trips, the half-registered
-  /// query is rolled back completely and Error is thrown naming the stop
-  /// reason — the monitor is left exactly as before the call.
+  /// A non-null `guard` bounds the backfill evaluation (deadline /
+  /// incident budget / cancellation). When the guard trips, the query is
+  /// not registered and Error is thrown naming the stop reason — the
+  /// monitor is left exactly as before the call.
   QueryId add_query(std::string_view pattern_text,
                     const EvalGuard* guard = nullptr);
   QueryId add_query(PatternPtr pattern, const EvalGuard* guard = nullptr);
-  /// Unregisters a query and releases everything it owned: per-instance
-  /// node state, the match-total entry, and any of its matches still
-  /// queued for drain(). After removal the id never surfaces again.
+  /// Unregisters a query and releases everything it owned: the
+  /// match-total entry and any of its matches still queued for drain().
+  /// After removal the id never surfaces again.
   void remove_query(QueryId id);
   std::size_t num_queries() const noexcept { return queries_.size(); }
 
@@ -112,15 +124,18 @@ class LogMonitor {
   /// MonitorOptions::bad_event_policy (kReject throws Error).
   void record(Wid wid, std::string_view activity, const NamedAttrs& in = {},
               const NamedAttrs& out = {});
-  /// Completes an instance (emits END) and releases its per-query state.
+  /// Completes an instance (emits END); the next evaluation is its last.
   /// A wid that is not open follows the bad-event policy too.
   void end_instance(Wid wid);
 
   // ----- results -----------------------------------------------------------
-  /// Matches accumulated since the last drain(), in arrival order.
-  const std::vector<Match>& matches() const noexcept { return matches_; }
+  /// Matches accumulated since the last drain(), in completion order.
+  const std::vector<Match>& matches() const {
+    flush();
+    return matches_;
+  }
   std::vector<Match> drain();
-  /// Extracts only one query's pending matches, preserving arrival order;
+  /// Extracts only one query's pending matches, preserving their order;
   /// other queries' matches stay queued.
   std::vector<Match> drain(QueryId id);
   std::size_t total_matches(QueryId id) const;
@@ -144,39 +159,37 @@ class LogMonitor {
   /// Internal bookkeeping sizes, exposed so tests (and leak audits) can
   /// assert that removing a query releases everything it owned.
   struct MemoryStats {
-    std::size_t state_queries = 0;    // query ids with per-instance state
-    std::size_t state_instances = 0;  // (query, instance) state pairs
     std::size_t tracked_totals = 0;   // match_totals_ entries
     std::size_t pending_matches = 0;  // matches_ rows awaiting drain()
   };
   MemoryStats memory_stats() const noexcept;
 
  private:
-  struct CompiledNode {
-    PatternOp op = PatternOp::kAtom;
-    // atom payload
-    Symbol activity = kNoSymbol;
-    bool negated = false;
-    PredicatePtr predicate;
-    // composite payload
-    std::size_t left = 0;
-    std::size_t right = 0;
-  };
-
-  struct CompiledQuery {
+  struct Query {
     QueryId id = 0;
     PatternPtr pattern;
-    std::vector<CompiledNode> nodes;  // post-order; root last
   };
 
-  /// Incident lists per node for one (query, instance) pair.
-  struct InstanceState {
-    std::vector<IncidentList> full;  // parallel to CompiledQuery::nodes
+  /// Records of an instance that a flush may still have to evaluate: an
+  /// open one, or a completed one not yet flushed since it grew.
+  struct LiveInstance {
+    std::vector<LogRecord> records;
+    std::size_t flushed = 0;  // records already evaluated
   };
 
-  std::size_t compile_node(const Pattern& p, CompiledQuery& q);
-  void feed(CompiledQuery& q, const LogRecord& l);
-  void backfill(CompiledQuery& q, const EvalGuard* guard);
+  /// A match found by an evaluation, with its completing record's lsn and
+  /// its query's index in queries_ — the two keys of delivery order.
+  struct Found {
+    Lsn lsn = 0;
+    std::size_t query = 0;
+    Incident incident;
+  };
+
+  /// Evaluates every instance that grew since the last flush and queues
+  /// its new matches.
+  void flush() const;
+  /// Queues `found` in delivery order and counts it.
+  void report(std::vector<Found> found) const;
   void append_record(Wid wid, Symbol activity, AttrMap in, AttrMap out);
   /// Applies the bad-event policy: counts it, invokes the callback, then
   /// throws (kReject), drops (kSkip), or retains (kQuarantine) the event.
@@ -187,16 +200,20 @@ class LogMonitor {
   Interner interner_;
   Symbol start_sym_;
   Symbol end_sym_;
-  std::vector<CompiledQuery> queries_;
-  // State keyed per query id then wid.
-  std::unordered_map<QueryId, std::unordered_map<Wid, InstanceState>> state_;
-  std::unordered_map<Wid, IsLsn> next_is_lsn_;  // open instances
+  std::vector<Query> queries_;
+  // absent = never used, 0 = completed, >= 1 = open (the next is-lsn).
+  std::unordered_map<Wid, IsLsn> next_is_lsn_;
   std::vector<LogRecord> records_;              // retained when keep_records
   std::deque<BadEvent> quarantined_;            // ring: capacity-capped
   std::size_t num_quarantine_dropped_ = 0;
   std::size_t num_bad_events_ = 0;
-  std::vector<Match> matches_;
-  std::unordered_map<QueryId, std::size_t> match_totals_;
+  // Flush state, mutable because matches() and total_matches() flush
+  // first: a flush only does work the appends deferred. live_ is empty
+  // while no query is registered.
+  mutable std::unordered_map<Wid, LiveInstance> live_;
+  mutable std::vector<Wid> touched_;  // live_ entries grown since the flush
+  mutable std::vector<Match> matches_;
+  mutable std::unordered_map<QueryId, std::size_t> match_totals_;
   Wid next_wid_ = 1;
   std::size_t num_records_ = 0;
   QueryId next_query_id_ = 1;

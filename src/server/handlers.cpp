@@ -199,20 +199,18 @@ QueryService::QueryService(std::optional<Log> initial, ServiceOptions options,
     co.shards = options_.cache_shards;
     cache_ = std::make_unique<ResultCache>(co);
   }
-  // Replay the initial log into the monitor so ingest continues its wid
-  // sequence. The replay asserts wid identity: LogMonitor assigns wids
-  // sequentially, so a log whose wids are not 1..N cannot be extended
-  // in-place — queries still work, ingest reports 409.
+  // Seed the monitor from the initial log so ingest continues its wid
+  // sequence. LogMonitor assigns wids sequentially, so a log whose wids
+  // are not 1..N cannot be extended in place — queries still work, ingest
+  // reports 409.
   if (initial.has_value() && initial->size() > 0) {
     try {
-      replay_into_monitor(*initial);
+      monitor_ = LogMonitor(*initial, monitor_options());
     } catch (const std::exception& e) {
       set_ingest_disabled(
           std::string("initial log could not seed the monitor: ") + e.what());
     }
   }
-  last_bad_.clear();  // replay noise is not request-level bad events
-  last_bad_dropped_ = 0;
 
   // Only a durable mirror can fail structurally mid-flight; a store-less
   // service has no degraded mode (its only failure is the 409 above).
@@ -274,31 +272,6 @@ bool QueryService::delivery_interrupted() const {
          (drain_ && drain_->load());
 }
 
-void QueryService::replay_into_monitor(const Log& log) {
-  for (const LogRecord& l : log) {
-    const std::string_view name = log.activity_name(l.activity);
-    if (l.activity == log.start_symbol()) {
-      const Wid got = monitor_.begin_instance();
-      if (got != l.wid) {
-        throw Error("initial log wid " + std::to_string(l.wid) +
-                    " is not the monitor's next wid " + std::to_string(got));
-      }
-    } else if (l.activity == log.end_symbol()) {
-      monitor_.end_instance(l.wid);
-    } else {
-      NamedAttrs in;
-      NamedAttrs out;
-      for (const AttrEntry& e : l.in) {
-        in.emplace_back(log.interner().name(e.attr), e.value);
-      }
-      for (const AttrEntry& e : l.out) {
-        out.emplace_back(log.interner().name(e.attr), e.value);
-      }
-      monitor_.record(l.wid, name, in, out);
-    }
-  }
-}
-
 bool QueryService::recover_store(std::string* error) {
   std::lock_guard lock(ingest_mu_);
   if (!store_.has_value()) {
@@ -315,10 +288,7 @@ bool QueryService::recover_store(std::string* error) {
     const RecoveryReport report = store_->reopen_in_place();
     (void)report;
     const Log durable = store_->load();
-    monitor_ = LogMonitor(monitor_options());
-    if (durable.size() > 0) replay_into_monitor(durable);
-    last_bad_.clear();
-    last_bad_dropped_ = 0;
+    monitor_ = LogMonitor(durable, monitor_options());
     rebuild_state();  // strictly newer snapshot version
     if (cache_ != nullptr) cache_->purge_below(version_seq_);
     // Rebuilding the monitor dropped every standing query with it:
@@ -426,7 +396,7 @@ void QueryService::reattach_subscriptions() {
   if (subs.empty()) return;
   const auto st = state();
   for (const auto& sub : subs) {
-    // Re-register on the fresh monitor; backfill replays the durable log
+    // Re-register on the fresh monitor; backfill evaluates the durable log
     // deterministically, reproducing the exact raw match sequence the
     // subscription already consumed — plus anything that became durable
     // without having been routed yet. No guard: this history was already
@@ -990,17 +960,7 @@ HttpResponse QueryService::handle_ingest(const HttpRequest& req,
   JsonArray new_wids;
   std::string abort_error;
   int abort_status = 0;
-  // Matches drained after each DURABLY applied event; routed to standing
-  // subscriptions once the new snapshot is published. Matches of an event
-  // whose store mirror failed are deliberately left queued — the degraded
-  // gate blocks ingest until recovery rebuilds the monitor (wiping them),
-  // so a non-durable incident can never be delivered.
-  std::vector<LogMonitor::Match> routed;
-  const auto collect = [&] {
-    std::vector<LogMonitor::Match> batch = monitor_.drain();
-    routed.insert(routed.end(), std::make_move_iterator(batch.begin()),
-                  std::make_move_iterator(batch.end()));
-  };
+  bool store_failed = false;
 
   for (const JsonValue& ev : events) {
     try {
@@ -1026,7 +986,6 @@ HttpResponse QueryService::handle_ingest(const HttpRequest& req,
         }
         new_wids.emplace_back(static_cast<std::int64_t>(wid));
         ++applied;
-        collect();
         continue;
       }
 
@@ -1047,14 +1006,12 @@ HttpResponse QueryService::handle_ingest(const HttpRequest& req,
         if (monitor_.num_bad_events() == bad_before) {
           if (store_.has_value()) store_->record(wid, act->as_string(), in, out);
           ++applied;
-          collect();
         }
       } else if (kind == "end") {
         monitor_.end_instance(wid);
         if (monitor_.num_bad_events() == bad_before) {
           if (store_.has_value()) store_->end_instance(wid);
           ++applied;
-          collect();
         }
       } else {
         throw Error("unknown event op \"" + kind + "\"");
@@ -1067,6 +1024,7 @@ HttpResponse QueryService::handle_ingest(const HttpRequest& req,
       // retryable 503; without one (store-less constructor failure modes)
       // it stays the permanent 500 it always was.
       abort_error = e.what();
+      store_failed = true;
       if (health_ != nullptr) {
         health_->degrade(std::string("store append failed: ") + e.what());
         // Pause standing-query delivery (events stay queued and acked
@@ -1087,10 +1045,14 @@ HttpResponse QueryService::handle_ingest(const HttpRequest& req,
     }
   }
 
-  if (applied > 0) {
+  // A failed store append leaves the monitor one event ahead of the store,
+  // so publish and route nothing: reads keep the last good snapshot, and
+  // recovery rebuilds the monitor from the store, then publishes and
+  // delivers the durable prefix.
+  if (applied > 0 && !store_failed) {
     const std::uint64_t old_version = version_seq_;
     rebuild_state();
-    route_matches(routed, state(), old_version);
+    route_matches(monitor_.drain(), state(), old_version);
     // The subscribed entries are repaired; nothing older can hit again.
     if (cache_ != nullptr) cache_->purge_below(version_seq_);
   }
@@ -1110,7 +1072,8 @@ HttpResponse QueryService::handle_ingest(const HttpRequest& req,
   }
   out.set("bad_events", std::move(bad));
   out.set("bad_events_dropped", last_bad_dropped_);
-  out.set("records", monitor_.num_records());
+  out.set("records",
+          store_failed ? store_->num_records() : monitor_.num_records());
   if (abort_status != 0) {
     out.set("error", abort_error);
     HttpResponse resp = HttpResponse::json(abort_status, out.dump());
@@ -1174,7 +1137,7 @@ HttpResponse QueryService::handle_subscribe(const HttpRequest& req,
     return HttpResponse::error(503, "subscription capacity reached");
   }
 
-  // Registration replays retained history through the fresh query under
+  // Registration evaluates retained history for the fresh query under
   // the request's own budget — a standing query starts with the exact
   // match set a batch /query would report right now.
   const auto te0 = Clock::now();

@@ -104,7 +104,7 @@ struct ServiceOptions {
 
 class QueryService {
  public:
-  /// Serves `initial` (replayed into the monitor so ingest continues its
+  /// Serves `initial` (seeded into the monitor so ingest continues its
   /// wid sequence). With a store, ingested events are mirrored durably;
   /// the store's log must equal `initial` (wfqd opens the store and loads
   /// it). `drain` comes from the HttpServer so in-flight evaluations stop
@@ -153,9 +153,6 @@ class QueryService {
   void rebuild_state();
   RunLimits limits_from(const class JsonValue& body) const;
   MonitorOptions monitor_options();
-  /// Feeds `log` through the monitor event-by-event, asserting wid
-  /// identity (LogMonitor assigns wids sequentially). Throws on mismatch.
-  void replay_into_monitor(const Log& log);
   /// HealthMonitor's RecoverFn: under ingest_mu_, reopens the store in
   /// place (quarantine recovery), rebuilds the monitor from the durable
   /// log, and republishes the snapshot. False + *error when the store is

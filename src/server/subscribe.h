@@ -7,7 +7,7 @@
 // per-client event queue:
 //
 //   POST /subscribe          register pattern [+ where]; history is
-//                            replayed (LogMonitor backfill) so the event
+//                            evaluated (LogMonitor backfill) so the event
 //                            stream is identical to having subscribed
 //                            before the first record
 //   GET  /subscribe/{id}     long-poll (?wait_ms=) or chunked stream
@@ -80,10 +80,10 @@ struct Subscription {
   /// after store recovery (the monitor is rebuilt wholesale).
   std::size_t monitor_id = 0;
   /// Raw monitor matches routed to this subscription so far, counted
-  /// BEFORE where-filtering. Recovery replays the durable log through a
-  /// fresh monitor and skips exactly this many backfill matches — the
-  /// replay is deterministic, so the skip re-aligns the streams without
-  /// re-delivering (or losing) anything.
+  /// BEFORE where-filtering. Recovery re-registers the query on a monitor
+  /// seeded from the durable log and skips exactly this many backfill
+  /// matches — backfill reports matches in delivery order, so the skip
+  /// re-aligns the streams without re-delivering (or losing) anything.
   std::uint64_t fed_raw = 0;
   std::uint64_t next_seq = 1;  // seq the next event will get
   std::deque<SubEvent> pending;  // retained until acked via ?after=

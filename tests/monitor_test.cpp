@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <tuple>
+
 #include "common/error.h"
 #include "common/rng.h"
 #include "core/guard.h"
@@ -194,8 +197,6 @@ TEST(MonitorTest, RemoveQueryLeavesNoStateBehind) {
     EXPECT_GT(mon.total_matches(q), 0u);
     mon.remove_query(q);
     const LogMonitor::MemoryStats stats = mon.memory_stats();
-    EXPECT_EQ(stats.state_queries, 0u);
-    EXPECT_EQ(stats.state_instances, 0u);
     EXPECT_EQ(stats.tracked_totals, 0u);
     EXPECT_EQ(stats.pending_matches, 0u);
     EXPECT_EQ(mon.total_matches(q), 0u);
@@ -239,7 +240,6 @@ TEST(MonitorTest, BackfillGuardStopsAndRollsBack) {
   EXPECT_THROW(mon.add_query("a", &guard), Error);
   EXPECT_EQ(mon.num_queries(), 0u);
   const LogMonitor::MemoryStats stats = mon.memory_stats();
-  EXPECT_EQ(stats.state_queries, 0u);
   EXPECT_EQ(stats.tracked_totals, 0u);
   EXPECT_EQ(stats.pending_matches, 0u);
   EXPECT_TRUE(mon.matches().empty());
@@ -315,6 +315,113 @@ TEST_P(MonitorBatchEquivalenceTest, MatchesBatchEvaluationExactly) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MonitorBatchEquivalenceTest,
                          ::testing::Range<std::uint64_t>(1, 16));
+
+// ----- delivery order ------------------------------------------------------
+//
+// Matches are delivered ordered by the lsn of their completing record,
+// then query registration order, then canonical order. The sequence must
+// not depend on how often the caller drains, and a late query's backfill
+// must report its history in the same order live delivery would have:
+// wfqd's exactly-once reconcile after recovery skips a delivered prefix
+// of exactly this sequence.
+
+class MonitorDeliveryOrderTest
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(MonitorDeliveryOrderTest, SameSequenceHoweverRegisteredOrDrained) {
+  const char* queries[] = {"a -> b", "a | !b", "a & b",
+                           "(a -> b) & c", "!c . a", "b"};
+  struct Event {
+    char op;  // 'b'egin, 'r'ecord, 'e'nd
+    Wid wid;
+    std::string activity;
+  };
+  // One random interleaving, replayed identically in every mode. Each
+  // event appends one record, so event i carries lsn i + 1.
+  Rng rng(GetParam());
+  std::vector<Event> feed;
+  std::vector<Wid> open;
+  std::map<Wid, IsLsn> length;
+  std::map<std::pair<Wid, IsLsn>, Lsn> lsn_of;
+  for (int i = 0; i < 150; ++i) {
+    const int action = static_cast<int>(rng.uniform(0, 9));
+    if (open.empty() || action == 0) {
+      const Wid w = static_cast<Wid>(length.size() + 1);
+      feed.push_back({'b', w, ""});
+      open.push_back(w);
+    } else if (action == 1 && open.size() > 1) {
+      const std::size_t k = rng.index(open.size());
+      feed.push_back({'e', open[k], ""});
+      open.erase(open.begin() + static_cast<std::ptrdiff_t>(k));
+    } else {
+      feed.push_back({'r', open[rng.index(open.size())],
+                      std::string(1, static_cast<char>('a' + rng.index(3)))});
+    }
+    const Wid w = feed.back().wid;
+    lsn_of[{w, ++length[w]}] = feed.size();
+  }
+
+  using Seq = std::vector<std::pair<LogMonitor::QueryId, Incident>>;
+  const auto run = [&](bool late, bool drain_per_event) {
+    LogMonitor mon;
+    Seq seq;
+    const auto take = [&] {
+      for (LogMonitor::Match& m : mon.drain()) {
+        seq.emplace_back(m.query, std::move(m.incident));
+      }
+    };
+    const std::size_t register_at = late ? feed.size() / 2 : 0;
+    for (std::size_t i = 0; i <= feed.size(); ++i) {
+      if (i == register_at) {
+        for (const char* q : queries) mon.add_query(q);
+        if (drain_per_event) take();
+      }
+      if (i == feed.size()) break;
+      const Event& e = feed[i];
+      if (e.op == 'b') {
+        EXPECT_EQ(mon.begin_instance(), e.wid);
+      } else if (e.op == 'e') {
+        mon.end_instance(e.wid);
+      } else {
+        mon.record(e.wid, e.activity);
+      }
+      if (drain_per_event) take();
+    }
+    take();
+    return seq;
+  };
+  const auto of_query = [](const Seq& seq, LogMonitor::QueryId id) {
+    IncidentList out;
+    for (const auto& [q, o] : seq) {
+      if (q == id) out.push_back(o);
+    }
+    return out;
+  };
+
+  const Seq upfront = run(false, false);
+  ASSERT_FALSE(upfront.empty());
+  EXPECT_EQ(run(false, true), upfront);
+
+  // The stated order, checked against the completing records' lsns.
+  const auto key = [&](const std::pair<LogMonitor::QueryId, Incident>& m) {
+    return std::make_tuple(lsn_of.at({m.second.wid(), m.second.last()}),
+                           m.first, m.second);
+  };
+  for (std::size_t i = 1; i < upfront.size(); ++i) {
+    EXPECT_LT(key(upfront[i - 1]), key(upfront[i])) << "position " << i;
+  }
+
+  // Late registration reports each query's history and live matches in
+  // the same per-query order; per-event and one-shot drains agree.
+  const Seq late = run(true, false);
+  EXPECT_EQ(run(true, true), late);
+  for (LogMonitor::QueryId id = 1; id <= std::size(queries); ++id) {
+    EXPECT_EQ(of_query(late, id), of_query(upfront, id)) << queries[id - 1];
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MonitorDeliveryOrderTest,
+                         ::testing::Range<std::uint64_t>(1, 9));
 
 // ----- bad-event policy ----------------------------------------------------
 

@@ -37,6 +37,9 @@ echo "== tier 1j: bench_store v1-vs-v2 smoke (compression + pruned scan) =="
   --benchmark_filter='BM_StoreClinic.*/1000$' \
   --benchmark_min_time=0.01
 
+echo "== tier 1j2: bench_monitor smoke (E13's standing-query rows) =="
+"$repo/build/bench/bench_monitor" --benchmark_min_time=0.01
+
 # wfbench builds its own Release tree under .bench_build/ and runs every
 # workload at a tiny size against a real wfqd: a change that breaks a
 # workload (a wrong answer, a crash, a missing metric) fails here.

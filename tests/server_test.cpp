@@ -1014,6 +1014,43 @@ TEST(ServerTest, IngestBadEventAbortsUnderReject) {
   EXPECT_EQ(server::parse_json(stats.body).find("records")->as_int(), 1);
 }
 
+TEST(ServerTest, InitialLogWithForeignWidsServesQueriesRefusesIngest) {
+  // Wids 7 then 3 in START order: the monitor hands out 1..N, so it cannot
+  // continue this log. Queries still run on it; ingest answers 409.
+  Interner interner;
+  const Symbol start = interner.intern(kStartActivity);
+  const Symbol a = interner.intern("a");
+  const Symbol end = interner.intern(kEndActivity);
+  std::vector<LogRecord> records;
+  for (const Wid wid : {Wid{7}, Wid{3}}) {
+    IsLsn n = 0;
+    for (const Symbol act : {start, a, end}) {
+      LogRecord l;
+      l.lsn = static_cast<Lsn>(records.size() + 1);
+      l.wid = wid;
+      l.is_lsn = ++n;
+      l.activity = act;
+      records.push_back(l);
+    }
+  }
+  TestServer ts(Log::from_records(std::move(records), std::move(interner)));
+  server::HttpClient c = ts.client();
+
+  const server::ClientResponse q = c.post("/query", R"({"query": "a"})");
+  ASSERT_EQ(q.status, 200) << q.body;
+  EXPECT_EQ(server::parse_json(q.body).find("total")->as_int(), 2);
+
+  const server::ClientResponse ingest = c.post("/ingest", ingest_events());
+  EXPECT_EQ(ingest.status, 409) << ingest.body;
+  EXPECT_EQ(server::parse_json(ingest.body).find("error")->as_string(),
+            "ingest disabled: initial log could not seed the monitor: "
+            "initial log wid 7 is not the monitor's next wid 1");
+  const server::ClientResponse stats = c.get("/stats");
+  const server::JsonValue v = server::parse_json(stats.body);
+  EXPECT_FALSE(v.find("ingest_enabled")->as_bool());
+  EXPECT_EQ(v.find("records")->as_int(), 6);
+}
+
 TEST(ServerTest, IngestIsDurableAcrossStoreReopen) {
   const fs::path dir =
       fs::temp_directory_path() /

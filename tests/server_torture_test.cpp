@@ -935,6 +935,96 @@ TEST(ServerTortureTest, SubscriptionsSurviveDegradeRecoverExactlyOnce) {
   fs::remove_all(dir);
 }
 
+// Regression: when a store append failed after earlier events of the same
+// request had landed, the ingest still published the monitor's snapshot,
+// failed event included. Degraded reads then served a record that was
+// never acked and that recovery dropped again. Reads must stay on the
+// acked state; recovery publishes the durable prefix and delivers it to
+// subscriptions exactly once.
+TEST(ServerTortureTest, DegradedReadsServeOnlyAckedRecords) {
+  const fs::path dir = fresh_dir("degraded-reads");
+  auto disk = std::make_shared<FaultIo>();
+  ChaosServer cs(std::nullopt, LogStore::create(dir, chaos_store_options(disk)),
+                 disk);
+  server::HttpClient c = cs.client();
+
+  ASSERT_EQ(c.post("/ingest", R"({"events": [{"op": "begin"}]})").status, 200);
+  const server::ClientResponse sub =
+      c.post("/subscribe", R"({"query": "a"})");
+  ASSERT_EQ(sub.status, 201) << sub.body;
+  const std::string sub_id =
+      server::parse_json(sub.body).find("id")->as_string();
+  // Every event delivered so far as "seq:positions", acked as read.
+  std::vector<std::string> delivered;
+  std::uint64_t cursor = 0;
+  const auto poll = [&] {
+    const server::ClientResponse r = c.get(
+        "/subscribe/" + sub_id + "?after=" + std::to_string(cursor));
+    ASSERT_EQ(r.status, 200) << r.body;
+    const server::JsonValue v = server::parse_json(r.body);
+    for (const server::JsonValue& e : v.find("events")->as_array()) {
+      std::string row = std::to_string(e.find("seq")->as_int()) + ":";
+      for (const server::JsonValue& p : e.find("positions")->as_array()) {
+        row += std::to_string(p.as_int()) + " ";
+      }
+      delivered.push_back(row);
+    }
+    cursor = static_cast<std::uint64_t>(v.find("next_after")->as_int());
+  };
+  const auto query_total = [&] {
+    const server::ClientResponse q = c.post("/query", R"({"query": "a"})");
+    EXPECT_EQ(q.status, 200) << q.body;
+    return server::parse_json(q.body).find("total")->as_int();
+  };
+
+  // One acked record, to learn how many store ops an append takes. Four
+  // records fit one segment, so no segment roll adds ops below.
+  const std::uint64_t ops_before = disk->ops();
+  ASSERT_EQ(c.post("/ingest", R"({"events": [
+    {"op": "record", "wid": 1, "activity": "b"}]})").status, 200);
+  const std::uint64_t ops_per_append = disk->ops() - ops_before;
+  ASSERT_GT(ops_per_append, 0u);
+  const std::int64_t acked_records = cs.healthz_json(c).find("records")->as_int();
+  ASSERT_EQ(acked_records, 2);
+  ASSERT_EQ(query_total(), 0);
+
+  // The first record of the request lands, the second fails.
+  FaultIo::Fault fault;
+  fault.at_op = disk->ops() + ops_per_append + 1;
+  fault.kind = FaultIo::Fault::Kind::kError;
+  fault.count = FaultIo::Fault::kSticky;
+  disk->set_fault(fault);
+  const server::ClientResponse broken = c.post("/ingest", R"({"events": [
+    {"op": "record", "wid": 1, "activity": "a"},
+    {"op": "record", "wid": 1, "activity": "a"}]})");
+  ASSERT_EQ(broken.status, 503) << broken.body;
+  const server::JsonValue body = server::parse_json(broken.body);
+  EXPECT_EQ(body.find("applied")->as_int(), 1);
+  EXPECT_EQ(body.find("records")->as_int(), acked_records + 1);
+
+  // Degraded: reads serve the acked state, and nothing was delivered.
+  EXPECT_EQ(cs.healthz_json(c).find("records")->as_int(), acked_records);
+  EXPECT_EQ(query_total(), 0);
+  poll();
+  EXPECT_TRUE(delivered.empty());
+
+  // Recovery publishes the durable prefix and delivers its match once.
+  disk->clear_fault();
+  ASSERT_TRUE(cs.await_state("healthy"));
+  EXPECT_EQ(cs.healthz_json(c).find("records")->as_int(), acked_records + 1);
+  EXPECT_EQ(query_total(), 1);
+  poll();
+  ASSERT_EQ(c.post("/ingest", R"({"events": [
+    {"op": "record", "wid": 1, "activity": "a"}]})").status, 200);
+  poll();
+  EXPECT_EQ(delivered, (std::vector<std::string>{"1:3 ", "2:4 "}));
+  EXPECT_EQ(query_total(), 2);
+
+  cs.http->shutdown();
+  cs.service.reset();
+  fs::remove_all(dir);
+}
+
 // Regression for the /stats vs ingest-disable race: readers used to load
 // the disabled-reason string while the degrade path assigned it, an
 // unsynchronized std::string access TSan flags. Hammer /stats (which
